@@ -103,12 +103,11 @@ class NaiveBlockchainDelivery(SequentialDelivery):
                    for req in decision.batch]
         result_list = [(key[0], key[1], repr(value[0]))
                        for key, value in results.items()]
-        # Tuples encode identically to lists, so the digest is unchanged;
-        # the tuple form is hashable, letting the content-addressed memo
-        # dedupe the n identical per-replica block builds.
+        # The content-addressed memo dedupes the n identical per-replica
+        # block builds (and, in the store, their checksums).
         header_hash = hash_obj_cached(
             ("naive", len(self.chain) + 1, self.prev_hash,
-             tuple(payload), tuple(result_list)))
+             payload, result_list))
         block = {
             "number": len(self.chain) + 1,
             "prev": self.prev_hash,

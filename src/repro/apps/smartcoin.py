@@ -62,33 +62,23 @@ BYTES_PER_COIN = 128
 
 #: Coin-id string memo: coin_id is a pure function of its arguments, so the
 #: final string (not just the digest) can be shared across the n replicas
-#: that each derive it.
-_coin_ids: dict[tuple[int, int, int], str] = hashing.register_cache({})
+#: that each derive it.  Keys are (client_id, req_id, index) ints.
+_coin_ids = hashing.Memo()
 #: Execution-result digest memo, keyed (client_id, req_id, result value).
-_result_digests: dict[tuple, bytes] = hashing.register_cache({})
-_COIN_MEMO_MAX = 16384
+_result_digests = hashing.Memo()
 _COUNTERS = hashing.CACHE_COUNTERS
 
 
 def coin_id(client_id: int, req_id: int, index: int) -> str:
-    """Deterministic coin identifier: any replica derives the same ids.
-
-    Memoized: all n replicas execute every transaction, so each id would
-    otherwise be derived n times."""
-    if not hashing.caches_enabled():
-        return hash_obj(("coin", client_id, req_id, index)).hex()[:32]
+    """Deterministic coin identifier: any replica derives the same ids —
+    memoized, since all n replicas execute every transaction."""
     key = (client_id, req_id, index)
     cached = _coin_ids.get(key)
     if cached is not None:
-        hashing.CACHE_COUNTERS["digest_cache_hits"] += 1
+        _COUNTERS["digest_cache_hits"] += 1
         return cached
-    hashing.CACHE_COUNTERS["digest_cache_misses"] += 1
-    value = hash_obj(("coin", client_id, req_id, index)).hex()[:32]
-    if len(_coin_ids) >= _COIN_MEMO_MAX:
-        for old in list(_coin_ids)[: _COIN_MEMO_MAX // 2]:
-            del _coin_ids[old]
-    _coin_ids[key] = value
-    return value
+    return _coin_ids.add(
+        key, hash_obj(("coin", client_id, req_id, index)).hex()[:32])
 
 
 class SmartCoin(Application):
@@ -139,39 +129,17 @@ class SmartCoin(Application):
             result = self.balance(op[1])
         else:
             result = ("error", f"unknown transaction type {kind!r}")
-        # Inlined memo hit (the dominant case: replicas 2..n re-deriving a
-        # digest replica 1 already computed); misses and the cache-disabled
-        # path go through _result_digest.
-        digest = _result_digests.get(
-            (request.client_id, request.req_id, result))
+        # Memoized like coin_id: every replica produces this exact digest.
+        # The memo key is the result *value* (cheaper to hash than to
+        # repr), so a divergent replica still gets a different digest for
+        # the same request; the digest bytes still cover repr(result).
+        key = (request.client_id, request.req_id, result)
+        digest = _result_digests.get(key)
         if digest is None:
-            return result, self._result_digest(request, result)
+            return result, _result_digests.add(key, hash_obj(
+                ("sc", request.client_id, request.req_id, repr(result))))
         _COUNTERS["digest_cache_hits"] += 1
         return result, digest
-
-    @staticmethod
-    def _result_digest(request: ClientRequest, result: Any) -> bytes:
-        # Memoized for the same reason as coin_id: deterministic execution
-        # means every replica produces this exact digest.  The memo key is
-        # the result *value* (cheaper to hash than to repr), so a divergent
-        # replica still produces a different digest for the same request;
-        # the digest bytes themselves still cover repr(result), unchanged.
-        if not hashing.caches_enabled():
-            return hash_obj(
-                ("sc", request.client_id, request.req_id, repr(result)))
-        key = (request.client_id, request.req_id, result)
-        cached = _result_digests.get(key)
-        if cached is not None:
-            hashing.CACHE_COUNTERS["digest_cache_hits"] += 1
-            return cached
-        hashing.CACHE_COUNTERS["digest_cache_misses"] += 1
-        value = hash_obj(
-            ("sc", request.client_id, request.req_id, repr(result)))
-        if len(_result_digests) >= _COIN_MEMO_MAX:
-            for old in list(_result_digests)[: _COIN_MEMO_MAX // 2]:
-                del _result_digests[old]
-        _result_digests[key] = value
-        return value
 
     def conflict_keys(self, request: ClientRequest):
         """UTXO footprints for the parallel-execution scheduler.
@@ -208,17 +176,12 @@ class SmartCoin(Application):
         coins = self.coins
         client_id, req_id = request.client_id, request.req_id
         if len(outputs) == 1:
-            # The evaluation mints one coin per MINT; skip the loop and hit
-            # the coin-id memo inline.
+            # The evaluation mints one coin per MINT; skip the loop.
             value = outputs[0][0]
             if value <= 0:
                 self.rejected += 1
                 return ("error", "mint value must be positive")
-            cid = _coin_ids.get((client_id, req_id, 0))
-            if cid is None:
-                cid = coin_id(client_id, req_id, 0)
-            else:
-                _COUNTERS["digest_cache_hits"] += 1
+            cid = coin_id(client_id, req_id, 0)
             coins[cid] = (issuer, value)
             self.minted_total += value
             return ("minted", (cid,))
@@ -257,12 +220,7 @@ class SmartCoin(Application):
                 self.rejected += 1
                 return ("error", "output amounts must be positive")
             del coins[cid]
-            client_id, req_id = request.client_id, request.req_id
-            new_cid = _coin_ids.get((client_id, req_id, 0))
-            if new_cid is None:
-                new_cid = coin_id(client_id, req_id, 0)
-            else:
-                _COUNTERS["digest_cache_hits"] += 1
+            new_cid = coin_id(request.client_id, request.req_id, 0)
             coins[new_cid] = (recipient, amount)
             self.spent_total += value
             return ("spent", (new_cid,))

@@ -794,6 +794,11 @@ def run(scenario: Scenario) -> ExperimentResult:
             r.store.bitrot_detected for r in built.replicas.values())
         metrics["storage.gray_periods"] = sum(
             r.store.disk.gray_periods for r in built.replicas.values())
+        # Records the canonical encoder rejected (checksummed by repr, and
+        # so hashed by every replica): checkpoints legitimately, anything
+        # on the delivery path by accident.
+        metrics["storage.repr_checksums"] = sum(
+            r.store.repr_checksums for r in built.replicas.values())
     if obs.enabled:
         for key, before in cache_before.items():
             obs.metrics.counter(f"crypto.{key}").inc(cache_after[key] - before)
@@ -805,7 +810,8 @@ def run(scenario: Scenario) -> ExperimentResult:
                 metrics["watchdog_fires"])
             for key in ("recovery.verified_entries",
                         "recovery.truncated_entries", "recovery.fallbacks",
-                        "storage.bitrot_detected", "storage.gray_periods"):
+                        "storage.bitrot_detected", "storage.gray_periods",
+                        "storage.repr_checksums"):
                 obs.metrics.counter(key).inc(metrics[key])
         for shard, entry in metrics.get("per_shard", {}).items():
             obs.metrics.counter(f"shard.{shard}.blocks").inc(

@@ -27,7 +27,7 @@ from repro.consensus.messages import (
 from repro.crypto.hashing import hash_obj, hash_obj_cached
 from repro.errors import ConsensusError
 from repro.net.message import Message
-from repro.smr.requests import Decision
+from repro.smr.requests import Decision, batch_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.smr.requests import ClientRequest
@@ -75,7 +75,7 @@ class ModSmartEngine(ConsensusEngine):
         replica = self.replica
         if cid is None:
             cid = replica.last_decided + 1
-        batch_hash = hash_obj([r.to_canonical() for r in batch])
+        batch_hash = batch_digest(batch)
         replica.inflight.update(r.key for r in batch)
         msg = ProposeMsg(cid=cid, regency=replica.regency, batch=batch,
                          batch_hash=batch_hash, size=batch_wire_size(batch))

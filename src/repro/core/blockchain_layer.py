@@ -232,12 +232,7 @@ class SmartChainDelivery(SequentialDelivery):
         number = self.chain.height + 1
         tx_records = [self._tx_record(r) for r in decision.batch]
         body_bytes = decision.payload_bytes() + 64 + 72 * len(decision.proof)
-        if self.storage is not StorageMode.MEMORY:
-            replica.store.append(
-                self.LOG, ("txs", number, decision.cid,
-                           tuple(t.to_record() for t in tx_records),
-                           decision.batch_hash),
-                body_bytes)
+        self._log_transactions(number, decision, tx_records, body_bytes)
         work = (len(decision.batch) * replica.costs.replay_time_per_tx
                 + replica.costs.batch_overhead)
         replica.charge_sm(work, self._apply_catchup, decision, tx_records,
@@ -320,13 +315,7 @@ class SmartChainDelivery(SequentialDelivery):
         # Line 18: the batch (plus its consensus proof) goes to the chain
         # file immediately — the disk works in parallel with execution.
         body_bytes = decision.payload_bytes() + 64 + 72 * len(decision.proof)
-        if self.storage is not StorageMode.MEMORY:
-            replica.store.append(
-                self.LOG,
-                ("txs", number, decision.cid,
-                 tuple(t.to_record() for t in tx_records),
-                 decision.batch_hash),
-                body_bytes)
+        self._log_transactions(number, decision, tx_records, body_bytes)
         if scheduler.parallel_execution(replica, self.app):
             # Per-transaction work runs on the exec pool; block building
             # and body hashing stay on the SM thread.
@@ -659,12 +648,7 @@ class SmartChainDelivery(SequentialDelivery):
         number = self.chain.height + 1
         tx_records = [self._tx_record(r) for r in decision.batch]
         body_bytes = decision.payload_bytes() + 64 + 72 * len(decision.proof)
-        if self.storage is not StorageMode.MEMORY:
-            replica.store.append(
-                self.LOG, ("txs", number, decision.cid,
-                           tuple(t.to_record() for t in tx_records),
-                           decision.batch_hash),
-                body_bytes)
+        self._log_transactions(number, decision, tx_records, body_bytes)
         work = replica.costs.block_build_overhead + replica.costs.batch_overhead
         replica.charge_sm(work, self._apply_special, decision, tx_records,
                           number, done)
@@ -941,7 +925,7 @@ class SmartChainDelivery(SequentialDelivery):
             cid, tx_records, batch_hash = txs[number]
             body = BlockBody(
                 consensus_id=cid,
-                transactions=[TxRecord.from_record(t) for t in tx_records],
+                transactions=[TxRecord.from_canonical(t) for t in tx_records],
                 results=list(results[number]),
                 batch_hash=batch_hash,
             )
@@ -1105,6 +1089,19 @@ class SmartChainDelivery(SequentialDelivery):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def _log_transactions(self, number: int, decision: Decision,
+                          tx_records: list[TxRecord], nbytes: int) -> None:
+        """Line 18: the batch goes to the chain file as soon as it is
+        decided.  The rows are the transactions' canonical forms — the
+        leaves of the header's ``hash_transactions`` — so the record's
+        checksum and the header share one Merkle tree."""
+        if self.storage is not StorageMode.MEMORY:
+            self.replica.store.append(
+                self.LOG, ("txs", number, decision.cid,
+                           tuple(t.to_canonical() for t in tx_records),
+                           decision.batch_hash),
+                nbytes)
+
     @staticmethod
     def _tx_record(request: ClientRequest) -> TxRecord:
         return TxRecord(client_id=request.client_id, req_id=request.req_id,

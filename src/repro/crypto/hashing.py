@@ -6,34 +6,30 @@ stored block changes its digest and breaks the chain.
 
 Hot-path engineering (see docs/performance.md)
 ----------------------------------------------
-Canonical encoding and hashing dominate the simulator's wall-clock: a
-Table I run encodes hundreds of thousands of small tuples.  Two
-complementary optimizations keep the *bytes produced identical* while
-cutting the cost severalfold:
+All n replicas live in one process and derive the same digests, so every
+*replicated* digest is content-addressed — hashed once per process, looked
+up n-1 times — with the bytes produced unchanged:
 
 - :func:`canonical_bytes` dispatches on the exact type and inlines the
-  dominant shapes (str/bytes/int leaves inside flat tuples), so the
-  common ``("coin", a, b, c)``-style payload encodes without per-element
-  function calls; subclasses and ``to_canonical`` objects fall back to
-  the original recursive path.
-- :func:`hash_obj_cached` memoizes digests of *hashable, immutable*
-  payloads in a bounded content-addressed table.  Protocol payloads that
-  every replica re-derives per message (the ACCEPT payload of a consensus
-  instance, for example) hash once per content instead of once per hop.
+  dominant shapes (str/bytes/int leaves inside flat tuples).
+- :class:`Memo` is the one bounded, counted memo table; :func:`memoized`
+  keeps one keyed by :func:`content_key` behind :func:`hash_obj_cached`,
+  Merkle roots, storage checksums and batch hashes.  The key *is* the
+  content: ``1``/``True``/``1.0`` are three keys, lists and dicts have
+  keys, a rotted payload is another key, and no payload is pinned.
 
-Both caches sit behind :func:`set_caches_enabled` — the escape hatch used
-by the determinism tests to prove cached and uncached runs produce
-byte-identical exports — and report hit/miss counts via
-:func:`cache_stats` (surfaced as ``digest_cache_hits``/``_misses`` run
-metrics).  The verify cache of :class:`repro.crypto.keys.KeyRegistry`
-shares the same switch and counter table.
+Every table obeys :func:`set_caches_enabled` (the determinism tests prove
+cached and uncached runs export identical bytes) and counts into
+:func:`cache_stats` (``digest_cache_hits``/``_misses``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Any
+from itertools import islice
+from marshal import dumps as _marshal
+from typing import Any, Callable
 
 from repro.errors import CryptoError
 
@@ -43,13 +39,15 @@ __all__ = [
     "canonical_bytes",
     "hash_obj",
     "hash_obj_cached",
+    "content_key",
+    "memoized",
+    "Memo",
     "EMPTY_DIGEST",
     "set_caches_enabled",
     "caches_enabled",
     "cache_stats",
     "reset_cache_stats",
     "clear_caches",
-    "register_cache",
     "CACHE_COUNTERS",
 ]
 
@@ -89,14 +87,40 @@ CACHE_COUNTERS: dict[str, int] = {
 
 _caches_enabled = True
 
-#: Bound on the content-addressed digest memo (FIFO eviction of the older
-#: half when full — entries are tiny tuples and digests).
+#: Default bound on a memo table (entries are a 32-byte key and a digest).
 _MEMO_MAX = 16384
-_memo: dict[Any, bytes] = {}
+#: Every process-wide :class:`Memo`, so the master switch clears them all.
+_tables: list["Memo"] = []
 
-#: Satellite memo tables (e.g. SMaRtCoin's coin-id memo) registered so the
-#: master switch clears them all at once.
-_registered_caches: list[dict] = []
+
+class Memo(dict):
+    """The one bounded memo table.  A plain dict to its readers (hot paths
+    inline ``table.get`` and count the hit); :meth:`add` counts the miss
+    and, at ``capacity``, evicts the older half in insertion order, so
+    hit/miss counts are exact per seed.  :func:`clear_caches` empties the
+    ``shared`` ones; a per-run owner (the verify cache) passes False."""
+
+    def __init__(self, capacity: int = _MEMO_MAX,
+                 counter: str = "digest_cache", shared: bool = True):
+        super().__init__()
+        self.capacity = capacity
+        self._misses = counter + "_misses"
+        if shared:
+            _tables.append(self)
+
+    def add(self, key: Any, value: Any) -> Any:
+        """Count a miss and remember ``value`` (unless disabled)."""
+        if _caches_enabled:
+            CACHE_COUNTERS[self._misses] += 1
+            if len(self) >= self.capacity:
+                for old in list(islice(self, self.capacity // 2)):
+                    del self[old]
+            self[key] = value
+        return value
+
+
+#: Content key (:func:`content_key`) -> digest of that content.
+_digests = Memo()
 
 #: Interning tables for encoded int / short-str *elements*.  Unlike the
 #: digest memo these cache an encoding, not a result: the bytes stored are
@@ -113,18 +137,11 @@ _int_enc: dict[int, bytes] = {}
 _str_enc: dict[str, bytes] = {}
 
 
-def register_cache(table: dict) -> dict:
-    """Register an external memo table to be cleared whenever the caches
-    are disabled.  Returns the table for inline use."""
-    _registered_caches.append(table)
-    return table
-
-
 def set_caches_enabled(enabled: bool) -> None:
-    """Master switch for the crypto caches (digest memo, per-object digest
-    slots, signature verify cache, registered satellite memos).  Disabling
-    clears the memos so a later re-enable starts cold; used by tests to
-    prove determinism under caching."""
+    """Master switch for the crypto caches (every :class:`Memo`, per-object
+    digest slots, the interning tables).  Disabling clears the memos so a
+    later re-enable starts cold; used by tests to prove determinism under
+    caching."""
     global _caches_enabled
     _caches_enabled = bool(enabled)
     if not _caches_enabled:
@@ -132,16 +149,15 @@ def set_caches_enabled(enabled: bool) -> None:
 
 
 def clear_caches() -> None:
-    """Empty every memo table (digest memo, interning tables, registered
-    satellite memos) without touching the enabled flag or the counters.
+    """Empty every shared memo table and the interning tables without
+    touching the enabled flag or the counters.
 
     The bench harness calls this at the start of each run so per-run cache
     hit/miss deltas are cold-start deterministic — a run's reported metrics
     must not depend on which runs happened earlier in the same process."""
-    _memo.clear()
     _int_enc.clear()
     _str_enc.clear()
-    for table in _registered_caches:
+    for table in _tables:
         table.clear()
 
 
@@ -263,32 +279,58 @@ def hash_obj(obj: Any) -> bytes:
     return _sha256(out).digest()
 
 
+#: Exact types :func:`_plain` passes through untouched.
+_ATOMS = frozenset({str, int, bytes, bool, float, type(None)})
+
+
+def _plain(obj: Any) -> Any:
+    """``obj`` with the ``to_canonical`` members of its containers swapped
+    for their canonical forms; tuples become lists, which encode the same."""
+    t = obj.__class__
+    if t is tuple or t is list:
+        return [x if x.__class__ in _ATOMS else _plain(x) for x in obj]
+    if t is dict:
+        return {k: _plain(v) for k, v in obj.items()}
+    return obj if t in _ATOMS else obj.to_canonical()
+
+
+def content_key(obj: Any) -> bytes | None:
+    """Type-exact content key of ``obj``, or ``None`` if it is not data.
+
+    SHA-256 over ``marshal`` version 2: type-tagged and length-prefixed
+    like the canonical encoding, so equal keys imply equal encodings
+    (``1``/``True``/``1.0`` differ; so do tuple and list, which only costs
+    a miss), a function of the value alone (no object ids or interning
+    flags) and written in C.  ``to_canonical`` objects inside containers
+    are keyed by their canonical forms.  A memo key within one process,
+    never a digest anybody stores or compares."""
+    try:
+        return _sha256(_marshal(obj, 2)).digest()
+    except ValueError:  # holds objects: key their canonical forms
+        try:
+            return _sha256(_marshal(_plain(obj), 2)).digest()
+        except (ValueError, AttributeError):
+            return None
+
+
+def memoized(compute: Callable[[Any], Any], obj: Any, domain: bytes = b"",
+             table: Memo = _digests) -> Any:
+    """``compute(obj)`` through a content-addressed table.  ``compute`` is
+    a pure function of ``obj``'s canonical content and ``domain`` names it
+    (one table serves digests and Merkle roots).  Content without a key,
+    and everything while the caches are disabled, is computed afresh."""
+    if _caches_enabled:
+        key = content_key(obj)
+        if key is not None:
+            key += domain
+            cached = table.get(key)
+            if cached is not None:
+                CACHE_COUNTERS["digest_cache_hits"] += 1
+                return cached
+            return table.add(key, compute(obj))
+    return compute(obj)
+
+
 def hash_obj_cached(obj: Any) -> bytes:
-    """:func:`hash_obj` through the bounded content-addressed memo.
-
-    ``obj`` must be hashable *and treated as immutable* — use this only for
-    value-type payloads (tuples of primitives).  Repeated protocol
-    payloads (an instance's ACCEPT payload re-derived by every receiver)
-    hash once per content instead of once per hop.
-
-    Like ``functools.lru_cache``, the memo keys by equality, so
-    numerically-equal values of different types share an entry (``1`` /
-    ``True`` / ``1.0``) even though their canonical encodings differ.  Only
-    use this for payload shapes with fixed field types — every call site in
-    this repo passes ``(str, int, bytes)`` tuples; use :func:`hash_obj` for
-    anything type-ambiguous.
-    """
-    if not _caches_enabled:
-        return hash_obj(obj)
-    cached = _memo.get(obj)
-    if cached is not None:
-        CACHE_COUNTERS["digest_cache_hits"] += 1
-        return cached
-    CACHE_COUNTERS["digest_cache_misses"] += 1
-    value = hash_obj(obj)
-    if len(_memo) >= _MEMO_MAX:
-        # FIFO eviction of the older half (insertion order is kept by dict).
-        for key in list(_memo)[: _MEMO_MAX // 2]:
-            del _memo[key]
-    _memo[obj] = value
-    return value
+    """:func:`hash_obj`, hashing each piece of content once per process."""
+    return memoized(hash_obj, obj)

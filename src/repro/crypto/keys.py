@@ -102,7 +102,8 @@ class KeyRegistry:
         # key's verification seed never changes once generated; results are
         # cached only for *known* keys, so a signature probed before its key
         # registers is re-checked (never a stale False).
-        self._verify_cache: dict[tuple[str, bytes, bytes], bool] = {}
+        self._verify_cache = _hashing.Memo(
+            self.VERIFY_CACHE_MAX, "verify_cache", shared=False)
 
     def generate(self, label: str = "") -> KeyPair:
         """Create a fresh key pair."""
@@ -133,13 +134,8 @@ class KeyRegistry:
             if seed is None:
                 # Unknown key: do not cache — it may register later.
                 return False
-            _hashing.CACHE_COUNTERS["verify_cache_misses"] += 1
-            result = hashlib.sha256(seed + data).digest() == signature.value
-            if len(self._verify_cache) >= self.VERIFY_CACHE_MAX:
-                for old in list(self._verify_cache)[: self.VERIFY_CACHE_MAX // 2]:
-                    del self._verify_cache[old]
-            self._verify_cache[key] = result
-            return result
+            return self._verify_cache.add(
+                key, hashlib.sha256(seed + data).digest() == signature.value)
         seed = self._verification.get(public)
         if seed is None:
             return False

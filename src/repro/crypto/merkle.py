@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.crypto.hashing import EMPTY_DIGEST, digest, hash_obj
+from repro.crypto.hashing import (
+    EMPTY_DIGEST, Memo, digest, hash_obj, hash_obj_cached, memoized)
 from repro.errors import CryptoError
 
-__all__ = ["MerkleTree", "MerkleProof", "merkle_root"]
+__all__ = ["MerkleTree", "MerkleProof", "merkle_root", "merkle_tree"]
 
 
 class MerkleProof:
@@ -81,11 +82,31 @@ class MerkleTree:
     @staticmethod
     def verify(root: bytes, item: Any, proof: MerkleProof) -> bool:
         """Check that ``item`` is the leaf authenticated by ``proof``."""
-        if hash_obj(item) != proof.leaf:
+        if hash_obj_cached(item) != proof.leaf:
             return False
         return proof.compute_root() == root
 
 
-def merkle_root(items: Sequence[Any]) -> bytes:
-    """Root digest of ``items`` (EMPTY_DIGEST for an empty list)."""
+def _root(items: Sequence[Any]) -> bytes:
     return MerkleTree(items).root
+
+
+def merkle_root(items: Sequence[Any]) -> bytes:
+    """Root digest of ``items`` (EMPTY_DIGEST for an empty list).
+
+    Memoised by the content of the whole sequence (a tuple and a list of
+    the same items are one entry): the n replicas closing the same block,
+    their stores checksumming its records and the verifier re-deriving its
+    header build one tree between them."""
+    return memoized(_root, list(items), b"merkle-root")
+
+
+#: The trees proofs were last served from, by content.  Small: a tree holds
+#: every node, and proofs are asked for a block at a time.
+_trees = Memo(capacity=32)
+
+
+def merkle_tree(items: Sequence[Any]) -> MerkleTree:
+    """The tree over ``items``, built once per content while it is one of
+    the last few asked for — every proof of a block comes from one tree."""
+    return memoized(MerkleTree, list(items), table=_trees)

@@ -45,6 +45,7 @@ from repro.core.persistence import PersistMsg
 from repro.crypto.hashing import hash_obj
 from repro.faults.plan import BehaviorSpec
 from repro.net.message import Message
+from repro.smr.requests import batch_digest
 from repro.smr.runtime import Interceptor
 
 __all__ = [
@@ -151,7 +152,7 @@ class EquivocateBehavior(Behavior):
         batch_b = list(reversed(msg.batch))
         conflict = ProposeMsg(
             cid=msg.cid, regency=msg.regency, batch=batch_b,
-            batch_hash=hash_obj([r.to_canonical() for r in batch_b]),
+            batch_hash=batch_digest(batch_b),
             size=batch_wire_size(batch_b))
         self.activate(cid=msg.cid, split=sorted(group_b),
                       conflicting_hash=conflict.batch_hash.hex())

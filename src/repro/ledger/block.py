@@ -22,7 +22,7 @@ from typing import Any
 
 from repro.crypto import hashing
 from repro.crypto.hashing import hash_obj
-from repro.crypto.merkle import MerkleTree, merkle_root
+from repro.crypto.merkle import merkle_root, merkle_tree
 from repro.crypto.keys import Signature
 from repro.errors import LedgerError
 
@@ -61,6 +61,12 @@ class TxRecord:
     def to_canonical(self) -> tuple:
         return ("tx", self.client_id, self.req_id, self.op, self.size,
                 self.special)
+
+    @classmethod
+    def from_canonical(cls, canonical: tuple) -> "TxRecord":
+        """Inverse of :meth:`to_canonical` (the rows of a logged ``txs``
+        record are canonical forms, i.e. Merkle leaves)."""
+        return cls(*canonical[1:])
 
 
 @dataclass(frozen=True)
@@ -136,17 +142,19 @@ class BlockBody:
 
     def hash_results(self) -> bytes:
         """Merkle root over the execution results."""
-        return merkle_root(list(self.results))
+        return merkle_root(self.results)
 
     def transaction_proof(self, index: int):
         """Membership proof of transaction ``index`` against the header's
-        ``hash_transactions`` root."""
-        tree = MerkleTree([tx.to_canonical() for tx in self.transactions])
-        return tree.proof(index)
+        ``hash_transactions`` root.  Proofs of one body share one tree
+        (:func:`merkle_tree`), keyed by content so an edited body gets its
+        own."""
+        return merkle_tree(
+            [tx.to_canonical() for tx in self.transactions]).proof(index)
 
     def result_proof(self, index: int):
         """Membership proof of result ``index`` against ``hash_results``."""
-        return MerkleTree(list(self.results)).proof(index)
+        return merkle_tree(self.results).proof(index)
 
     def payload_bytes(self) -> int:
         tx_bytes = sum(tx.size for tx in self.transactions)

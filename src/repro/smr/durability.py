@@ -20,9 +20,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.config import StorageMode
-from repro.crypto.hashing import hash_obj
 from repro.smr import scheduler
-from repro.smr.requests import Decision
+from repro.smr.requests import Decision, batch_digest
 from repro.smr.service import Application, DeliveryLayer
 from repro.storage.stable import AsyncFlusher
 
@@ -251,8 +250,7 @@ class DuraSmartDelivery(DeliveryLayer):
             self.executed_cid = cid
             if observing:
                 replayed.append(
-                    (cid,
-                     hash_obj([r.to_canonical() for r in batch]).hex()))
+                    (cid, batch_digest(batch).hex()))
         self.recovery_verified_entries += valid
         truncated = 0
         if bad_reason:
@@ -305,8 +303,7 @@ class DuraSmartDelivery(DeliveryLayer):
             self.executed_cid = cid
             if observing:
                 replayed.append(
-                    (cid,
-                     hash_obj([r.to_canonical() for r in batch]).hex()))
+                    (cid, batch_digest(batch).hex()))
         self.last_recovery = {
             "replayed": replayed, "verified": 0, "truncated": 0,
             "snapshot_rejected": False, "fallback": False,

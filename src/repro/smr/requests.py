@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
+from repro.crypto.hashing import hash_obj_cached
 from repro.crypto.keys import Signature
 from repro.net.message import Message
 
 __all__ = [
     "ClientRequest",
     "RequestKey",
+    "batch_digest",
     "Decision",
     "RequestBatchMsg",
     "ReplyBatchMsg",
@@ -61,6 +63,15 @@ class ClientRequest:
 
     def to_canonical(self) -> tuple:
         return self._canonical
+
+
+def batch_digest(batch: Sequence[ClientRequest]) -> bytes:
+    """The batch hash consensus decides on: SHA-256 over the canonical
+    requests, in order (a tuple and a list of them encode identically).
+
+    Content-addressed, so the proposer, an equivocating twin's audit and the
+    replay evidence of recovery hash a given batch once between them."""
+    return hash_obj_cached([r.to_canonical() for r in batch])
 
 
 @dataclass

@@ -37,7 +37,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.crypto.hashing import hash_obj
+from repro.crypto.hashing import hash_obj, hash_obj_cached
+from repro.crypto.merkle import merkle_root
 from repro.errors import CryptoError, StorageError
 from repro.sim.engine import Simulator
 from repro.storage.disk import Disk, DiskConfig
@@ -48,18 +49,35 @@ __all__ = ["LogEntry", "StableStore", "AsyncFlusher", "STORAGE_FAULT_KINDS"]
 STORAGE_FAULT_KINDS = ("bit-rot", "torn-write", "gray-disk", "fsync-lie")
 
 
-def _fingerprint(payload: Any) -> bytes:
+def _fingerprint(payload: Any, store: "StableStore | None" = None) -> bytes:
     """Content checksum of a record payload.
 
-    Uses the canonical encoder where the payload supports it (tuples of
-    primitives, objects with ``to_canonical``); anything else — application
-    snapshots, checkpoint dataclasses — falls back to hashing its ``repr``,
-    which is stable within a run and is only ever compared against a
-    checksum computed by the same process.
+    The canonical digest of the record, with every *table* in it — a field
+    that is a non-empty tuple of tuples, such as the transactions or the
+    results of a block — committed by its Merkle root.  The block header
+    carries the roots of those same tables, so their rows are hashed once
+    for both.  Digests and roots come through the content-addressed memo:
+    the n replicas logging the same record hash it once, and so does
+    verification — the memo key is the payload's present content, so a
+    rotted payload is another key, misses, and is re-hashed.
+
+    Anything the canonical encoder rejects — application snapshots,
+    checkpoint dataclasses — falls back to hashing its ``repr``, which is
+    stable within a run and is only ever compared against a checksum
+    computed by the same process; the stamping ``store`` counts those,
+    since a record off the canonical path is hashed by every replica.
     """
     try:
-        return hash_obj(payload)
+        if payload.__class__ is tuple:
+            payload = [
+                ("merkle-root", merkle_root(field))
+                if field.__class__ is tuple and field
+                and field[0].__class__ is tuple else field
+                for field in payload]
+        return hash_obj_cached(payload)
     except CryptoError:
+        if store is not None:
+            store.repr_checksums += 1
         return hash_obj(repr(payload))
 
 
@@ -152,6 +170,9 @@ class StableStore:
         self.bitrot_detected = 0
         #: Entries lost to torn sync barriers.
         self.torn_entries_lost = 0
+        #: Records stamped with the ``repr`` checksum because the canonical
+        #: encoder rejected them (see :func:`_fingerprint`).
+        self.repr_checksums = 0
 
     # ------------------------------------------------------------------
     # Writes
@@ -161,7 +182,8 @@ class StableStore:
         if nbytes < 0:
             raise StorageError("entry size must be non-negative")
         self._seq += 1
-        entry = LogEntry(payload, nbytes, self._seq, _fingerprint(payload))
+        entry = LogEntry(payload, nbytes, self._seq,
+                         _fingerprint(payload, self))
         self._volatile_logs.setdefault(log, []).append(entry)
         self._pending_bytes += nbytes
         return entry
@@ -170,7 +192,8 @@ class StableStore:
         """Buffer a write to a named cell (snapshot pointer, view file, ...)."""
         if nbytes < 0:
             raise StorageError("cell size must be non-negative")
-        self._volatile_cells[key] = (payload, nbytes, _fingerprint(payload))
+        self._volatile_cells[key] = (
+            payload, nbytes, _fingerprint(payload, self))
         self._pending_bytes += nbytes
 
     def sync(self, fn: Callable[..., Any] | None = None, *args: Any) -> None:
@@ -196,7 +219,7 @@ class StableStore:
             raise StorageError("snapshot size must be non-negative")
         self.disk.write_snapshot(
             nbytes, self._commit, {},
-            {key: (payload, nbytes, _fingerprint(payload))}, fn, args)
+            {key: (payload, nbytes, _fingerprint(payload, self))}, fn, args)
 
     def _commit(self, logs: dict[str, list[LogEntry]],
                 cells: dict[str, tuple[Any, int, bytes]],

@@ -16,7 +16,7 @@ from repro.bench.__main__ import main
 from repro.bench.harness import Scenario, run
 from repro.bench.wallclock import WALLCLOCK_SCHEMA
 from repro.bench.wallclock import main as wallclock_main
-from repro.config import StorageMode, VerificationMode
+from repro.config import PersistenceVariant, StorageMode, VerificationMode
 from repro.crypto.hashing import set_caches_enabled
 from repro.obs.compare import (
     DEFAULT_LATENCY_TOLERANCE,
@@ -123,13 +123,24 @@ class TestDeterminismUnderCaching:
         assert uncached.metrics["digest_cache_hits"] == 0
         assert uncached.metrics["digest_cache_misses"] == 0
 
-    def test_steady_state_digest_hit_rate(self):
-        result = run(Scenario(
-            system="naive", verification=VerificationMode.SEQUENTIAL,
-            storage=StorageMode.SYNC, clients=1200, duration=2.5, seed=1))
+    @pytest.mark.parametrize("scenario", [
+        Scenario(system="naive", verification=VerificationMode.SEQUENTIAL,
+                 storage=StorageMode.SYNC, clients=1200, duration=2.5,
+                 seed=1),
+        # SMARTCHAIN strong/sync: Merkle roots, record checksums and the
+        # batch hash go through the same content-addressed table.
+        Scenario(system="smartchain", variant=PersistenceVariant.STRONG,
+                 storage=StorageMode.SYNC, clients=1200, duration=2.5,
+                 seed=1),
+    ], ids=["naive", "smartchain-strong-sync"])
+    def test_steady_state_digest_hit_rate(self, scenario, record_property):
+        result = run(scenario)
         hits = result.metrics["digest_cache_hits"]
         misses = result.metrics["digest_cache_misses"]
         assert hits + misses > 10_000  # the run actually exercised the cache
+        # Memo lookups only: the number rises as more sites are memoised.
+        record_property("digest_lookups_per_tx",
+                        round((hits + misses) / result.completed, 3))
         # Every unique payload is derived once per replica, so with n=4 the
         # structural ceiling on the hit rate is (n-1)/n = 75%; steady state
         # sits essentially at it.  A collapse below 70% means the memo keys

@@ -155,12 +155,14 @@ class TestEndToEnd:
         assert summary["disk_degraded"] >= 1
         assert summary["violations"] == []
 
-    def test_unverified_negative_control_diverges(self):
+    @pytest.mark.parametrize("engine", ["modsmart", "fastbft"])
+    def test_unverified_negative_control_diverges(self, engine):
         """With ``verify_recovery=False`` the corrupted record replays
         blindly and the auditor must catch the divergence — the behavior
-        checksummed recovery exists to prevent."""
+        checksummed recovery exists to prevent (CLI exit 2), however warm
+        the digest memo is with the record's original content."""
         with pytest.raises(AuditError) as excinfo:
-            run(_recovery_scenario("bitrot-unverified"))
+            run(_recovery_scenario("bitrot-unverified", engine=engine))
         assert any(v.invariant == "recovery-divergence"
                    for v in excinfo.value.violations)
 
