@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""The CI smoke matrix: which ``python -m repro.bench`` runs each smoke job
+makes, under which consensus engines, and the exit code each must produce.
+
+``python scripts/ci_smoke.py <job>`` runs the job's rows in order and stops
+at the first whose exit code is not the expected one.  ``repro.bench``
+exits 0 on a clean run and 2 on any auditor violation, so a row expecting 2
+is a *negative control*: the fault plan must trip the auditor, or the
+positive rows beside it pass for free.  ``tests/test_ci_smoke.py`` checks
+the table still holds every engine x plan x exit-code combination CI ran
+before it was a table.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from typing import NamedTuple
+
+BOTH = ("modsmart", "fastbft")
+#: No ``--engine`` flag: the row runs once, on the default engine.
+DEFAULT = (None,)
+
+
+class Row(NamedTuple):
+    """One ``repro.bench`` invocation per engine.  ``{engine}`` in an
+    argument is replaced by the engine's name."""
+
+    args: tuple[str, ...]
+    engines: tuple[str | None, ...] = BOTH
+    expect: int = 0
+
+
+def _smartchain(*args: str, clients: int, duration: float) -> tuple[str, ...]:
+    return ("smartchain", "--clients", str(clients),
+            "--duration", str(duration), *args)
+
+
+JOBS: dict[str, tuple[Row, ...]] = {
+    # One audited run per named fault plan: every scenario stays within the
+    # f=1 fault threshold, so the safety auditor must come out clean
+    # whichever engine is ordering.
+    "chaos": tuple(
+        Row(_smartchain("--faults", plan, "--audit",
+                        clients=300, duration=2.0))
+        for plan in ("equivocate", "mute", "withhold-votes", "stale-replay",
+                     "crash-storm")),
+    # Sharded multi-chain deployments (docs/sharding.md): an audited
+    # 2-shard run with 10% cross-shard traffic must come out clean
+    # (per-shard safety and liveness auditors plus the cross-shard
+    # no-double-mint invariant), so must a crash storm scoped to shard 0,
+    # and the scaling sweep is gated against the committed baseline
+    # (including the >=1.7x two-shard speedup).
+    "shard": (
+        Row(_smartchain("--shards", "2", "--cross-shard-fraction", "0.1",
+                        "--audit", "--audit-liveness",
+                        clients=400, duration=2.5)),
+        Row(_smartchain("--shards", "2", "--faults", "crash-storm-shard0",
+                        "--audit", clients=400, duration=2.5), DEFAULT),
+        Row(("shards", "--check-against",
+             "benchmarks/results/BENCH_shards.json"), DEFAULT),
+    ),
+    # Liveness-attacking plans under the liveness auditor.  The
+    # exponential-backoff synchronizer must keep its bound; the same
+    # leader-targeted delay against the legacy fixed-timeout synchronizer
+    # must wedge (exit 2).
+    "liveness": (
+        *(Row(_smartchain("--faults", plan, "--audit-liveness", "--report",
+                          f"liveness-{{engine}}-{plan}.json",
+                          clients=300, duration=6.0))
+          for plan in ("leader-delay", "timeout-jitter", "stop-spam")),
+        Row(_smartchain("--faults", "leader-delay-fixed", "--audit-liveness",
+                        clients=300, duration=4.0), expect=2),
+    ),
+    # Storage-fault recovery (docs/faults.md, "Verified recovery"):
+    # bit-rot and torn-write plans compose silent stable-storage damage
+    # with crash-recover storms, and verified recovery must keep every
+    # recovered replica on the canonical chain.  Re-running the bit-rot
+    # storm with verify_recovery=false must diverge (exit 2).  The fault
+    # sweep is gated against the committed baseline.
+    "recovery": (
+        *(Row(("recovery", "--faults", plan, "--audit"))
+          for plan in ("bitrot-recovery", "torn-write-recovery")),
+        Row(("recovery", "--faults", "bitrot-unverified", "--audit"),
+            expect=2),
+        Row(("recovery", "--report", "recovery-report.json",
+             "--check-against", "benchmarks/results/BENCH_recovery.json"),
+            DEFAULT),
+    ),
+    # Pipelined consensus + modeled parallel execution
+    # (docs/performance.md): audited depth=4 runs must come out clean on 1
+    # and 2 exec cores, also with a quorum's worth of withheld votes (the
+    # pipeline-stalled watchdog path), and the depth x cores sweep is gated
+    # against the committed baseline — whose depth=1/cores=1 corner doubles
+    # as the Table I byte-identity check.
+    "pipeline": (
+        *(Row(_smartchain("--pipeline-depth", "4", "--exec-cores", cores,
+                          "--audit", "--audit-liveness",
+                          clients=400, duration=2.5))
+          for cores in ("1", "2")),
+        Row(_smartchain("--pipeline-depth", "4", "--faults", "withhold-votes",
+                        "--audit", clients=400, duration=2.5), DEFAULT),
+        Row(("pipeline", "--profile", "--report", "pipeline-report.json",
+             "--check-against", "benchmarks/results/BENCH_pipeline.json"),
+            DEFAULT),
+    ),
+}
+
+
+def commands(job: str) -> list[tuple[tuple[str, ...], int]]:
+    """The job's ``repro.bench`` argument vectors, each with the exit code
+    it must produce."""
+    out = []
+    for row in JOBS[job]:
+        for engine in row.engines:
+            experiment, *rest = (arg.format(engine=engine)
+                                 for arg in row.args)
+            flag = () if engine is None else ("--engine", engine)
+            out.append(((experiment, *flag, *rest), row.expect))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or argv[0] not in JOBS:
+        print(f"usage: ci_smoke.py {{{','.join(JOBS)}}}", file=sys.stderr)
+        return 64
+    for args, expect in commands(argv[0]):
+        print(f"=== repro.bench {' '.join(args)}  (expect exit {expect})",
+              flush=True)
+        status = subprocess.run(
+            [sys.executable, "-m", "repro.bench", *args]).returncode
+        if status != expect:
+            print(f"expected exit {expect}, got {status}", file=sys.stderr)
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

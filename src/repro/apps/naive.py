@@ -18,9 +18,9 @@ from typing import Any
 
 from repro.config import StorageMode
 from repro.crypto.hashing import EMPTY_DIGEST, hash_obj_cached
+from repro.smr.recovery import LINKED
 from repro.smr.requests import Decision
 from repro.smr.service import Application, SequentialDelivery
-from repro.storage.stable import AsyncFlusher
 
 __all__ = ["NaiveBlockchainDelivery"]
 
@@ -37,21 +37,10 @@ class NaiveBlockchainDelivery(SequentialDelivery):
         self.chain: list[dict] = []         # in-memory copy of what was built
         self.prev_hash = EMPTY_DIGEST
         self.executed_cid = -1
-        self._flusher: AsyncFlusher | None = None
         self.blocks_built = 0
-        # Verified-recovery outcome (rolled into run metrics, docs/faults.md).
-        self.recovery_verified_entries = 0
-        self.recovery_truncated_entries = 0
-        self.recovery_fallbacks = 0
-        #: Report of the most recent recover_local (None before the first).
-        self.last_recovery: dict | None = None
 
-    def attach(self, replica) -> None:
-        super().attach(replica)
-        if self.storage is StorageMode.ASYNC:
-            self._flusher = AsyncFlusher(
-                replica.store, replica.config.async_flush_interval)
-            self._flusher.start()
+    def metrics(self) -> dict[str, Any]:
+        return {"blocks": self.blocks_built}
 
     # ------------------------------------------------------------------
     # Sequential processing (one batch at a time, like the real service)
@@ -137,71 +126,38 @@ class NaiveBlockchainDelivery(SequentialDelivery):
         self.chain = []  # history before the snapshot is not replayed here
 
     def recover_local(self) -> int:
-        if self._flusher is not None:
-            self._flusher.start()
-        replica = self.replica
-        store = replica.store
-        if not replica.config.verify_recovery:
-            self.chain = list(store.read_log(self.LOG))
-            if not self.chain:
-                return -1
+        """Reload the chain through the shared verified replay
+        (:mod:`repro.smr.recovery`).  Only the chain is recovered locally:
+        rebuilding application state would require re-execution, which the
+        recovering replica leaves to state transfer — so the executed cid
+        stays −1, and there is no replay evidence (the block payload drops
+        the requests' ``special`` flag, so the decide-time batch hash
+        cannot be recomputed from it)."""
+        self.chain = []
+        replay = self.begin_recovery()
+        recovered_cid = replay.replay(self.LOG, self._adopt, self._links)
+        replay.finish(self.executed_cid)
+        if self.chain:
             self.prev_hash = self.chain[-1]["hash"]
-            # Rebuilding application state would require re-execution; the
-            # recovering replica relies on state transfer for that, so only
-            # the chain height is recovered locally.
-            return self.chain[-1]["consensus_id"]
-        rt = replica.runtime
-        observing = rt.observing
-        entries = store.read_entries(self.LOG)
-        valid = 0
-        prev = EMPTY_DIGEST
-        bad_reason = ""
-        for entry in entries:
-            if not store.verify_entry(entry):
-                bad_reason = "checksum"
-                store.bitrot_detected += 1
-                break
-            block = entry.payload
-            if block.get("prev") != prev or block.get("number") != valid + 1:
-                # A block whose back-pointer or height does not extend the
-                # prefix (torn write, or appends after a state transfer
-                # rebased the chain): nothing past it is trustworthy here.
-                bad_reason = "chain-linkage"
-                break
-            prev = block["hash"]
-            valid += 1
-        self.recovery_verified_entries += valid
-        truncated = len(entries) - valid
-        if bad_reason:
-            store.truncate_log(self.LOG, valid)
-            self.recovery_truncated_entries += truncated
-            self.recovery_fallbacks += 1
-            if observing:
-                rt.notify("log-corruption-detected", log=self.LOG,
-                          index=valid, reason=bad_reason, dropped=truncated)
-                rt.notify("recovery-fallback", from_cid=self.executed_cid,
-                          dropped=truncated)
-        if observing:
-            rt.notify("recovery-verified", entries=valid,
-                      truncated=truncated, cid=self.executed_cid)
-        self.chain = [entry.payload for entry in entries[:valid]]
-        # No replay evidence: the naive block payload drops the requests'
-        # ``special`` flag, so the decide-time batch hash cannot be
-        # recomputed from it (and the application state is not rebuilt
-        # locally anyway — state transfer supplies it).
-        self.last_recovery = {
-            "replayed": [], "verified": valid, "truncated": truncated,
-            "snapshot_rejected": False, "fallback": bool(bad_reason),
-        }
-        if not self.chain:
-            return -1
-        self.prev_hash = self.chain[-1]["hash"]
-        return self.chain[-1]["consensus_id"]
+        return recovered_cid
+
+    def _adopt(self, block: dict) -> int:
+        self.chain.append(block)
+        return block["consensus_id"]
+
+    @staticmethod
+    def _links(previous: dict | None, block: dict) -> str:
+        """A block extends the prefix by back-pointer and height; one that
+        does not is a torn write, or an append after a state transfer
+        rebased the chain — nothing past it is trustworthy here."""
+        prev_hash, number = ((previous["hash"], previous["number"] + 1)
+                             if previous is not None else (EMPTY_DIGEST, 1))
+        if block.get("prev") != prev_hash or block.get("number") != number:
+            return "chain-linkage"
+        return LINKED
 
     def on_crash(self) -> None:
         super().on_crash()
         self.chain.clear()
         self.prev_hash = EMPTY_DIGEST
         self.executed_cid = -1
-        if self._flusher is not None:
-            self._flusher.stop()

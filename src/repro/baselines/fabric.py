@@ -261,6 +261,9 @@ class FabricCluster:
                 self.network.send(("fab", "gateway"), ("fab", "orderer"),
                                   OrderMsg(requests=ready, size=nbytes))
 
+    def metrics(self) -> dict[str, int]:
+        return {"blocks": self.peers[0].blocks_committed}
+
     def view(self) -> View:
         """Stations send requests to the gateway and receive peer events."""
         return View(0, (("fab", "gateway"),))

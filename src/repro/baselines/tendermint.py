@@ -267,6 +267,9 @@ class TendermintCluster:
     def app_execute(self, node_id: int, batch: list[ClientRequest]) -> dict:
         return self.apps[node_id].execute_batch(batch)
 
+    def metrics(self) -> dict[str, int]:
+        return {"blocks": self.nodes[0].blocks_committed}
+
     def view(self) -> View:
         """A View whose member ids are the validators' network addresses, so
         the ordinary client stations can drive a Tendermint cluster."""

@@ -6,11 +6,6 @@ from repro.bench.harness import (
     RunHandle,
     Scenario,
     run,
-    run_dura_smart,
-    run_fabric,
-    run_naive_smartcoin,
-    run_smartchain,
-    run_tendermint,
 )
 
 __all__ = [
@@ -19,9 +14,4 @@ __all__ = [
     "RunHandle",
     "Scenario",
     "run",
-    "run_dura_smart",
-    "run_fabric",
-    "run_naive_smartcoin",
-    "run_smartchain",
-    "run_tendermint",
 ]

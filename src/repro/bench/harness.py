@@ -7,11 +7,6 @@ population, run for the simulated duration and measure throughput the way
 the paper measures it (fixed operation-count intervals, 20% highest-variance
 intervals discarded, average — Section VI-A).
 
-The historical ``run_smartchain`` / ``run_naive_smartcoin`` / ``run_dura_smart``
-/ ``run_tendermint`` / ``run_fabric`` entry points remain as deprecated thin
-wrappers that construct the equivalent Scenario — byte-identical results,
-plus a :class:`DeprecationWarning` pointing at ``Scenario``/``run``.
-
 Results are plain data: every field of :class:`ExperimentResult` survives
 ``json.dumps`` (see :meth:`ExperimentResult.to_json`).  Live simulation
 objects — the consortium, the stations, the simulator — are available on the
@@ -22,9 +17,9 @@ of the serialized result.
 from __future__ import annotations
 
 import gc
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Iterable
 
 from repro.apps.naive import NaiveBlockchainDelivery
 from repro.apps.smartcoin import SmartCoin
@@ -59,11 +54,6 @@ __all__ = [
     "RunHandle",
     "ExperimentResult",
     "run",
-    "run_smartchain",
-    "run_naive_smartcoin",
-    "run_dura_smart",
-    "run_tendermint",
-    "run_fabric",
 ]
 
 #: Simulated seconds excluded from the head of every measurement: the ramp
@@ -73,9 +63,6 @@ __all__ = [
 #: duration-dependent warmup than the SMARTCHAIN/BFT-SMART runs, which
 #: skewed the Table II comparison; a Scenario now carries one explicit value.
 DEFAULT_WARMUP = 1.0
-
-#: Back-compat alias (pre-Scenario name).
-WARMUP = DEFAULT_WARMUP
 
 #: Systems a Scenario may name (the keys of ``_BUILDERS``, spelled out
 #: here so :meth:`Scenario.__post_init__` can validate at construction).
@@ -261,7 +248,7 @@ class Scenario:
 class RunHandle:
     """Live objects of a finished run (not serialized with the result).
 
-    ``system`` is the stack's top-level object: the :class:`Consortium` for
+    ``system`` is the stack's top-level object: the :class:`ReplicaGroup` for
     ``smartchain``, the replica list for ``naive``/``dura``, the cluster for
     the comparators.
     """
@@ -318,7 +305,6 @@ class ExperimentResult:
 def _measure(stations: list[ClientStation], duration: float,
              label: str, op_window: int = 2000,
              warmup: float = DEFAULT_WARMUP,
-             extra: dict | None = None,
              metrics: dict | None = None) -> ExperimentResult:
     # The paper's method: throughput per fixed operation-count interval,
     # discard the 20% with the greatest deviation, average the rest.
@@ -353,7 +339,7 @@ def _measure(stations: list[ClientStation], duration: float,
         duration=duration,
         warmup=warmup,
         interval_rates=rates,
-        metrics={**(extra or {}), **(metrics or {})},
+        metrics=dict(metrics or {}),
     )
 
 
@@ -362,14 +348,17 @@ def _signed(verification: VerificationMode) -> bool:
 
 
 # ----------------------------------------------------------------------
-# System builders: Scenario -> (stations, label, system, metrics thunk)
+# System builders: Scenario -> deployed stack
 # ----------------------------------------------------------------------
 @dataclass
 class _Built:
     stations: list[ClientStation]
     label: str
     system: Any
-    metrics: Callable[[], dict[str, Any]]
+    #: Whoever states the deployment's own progress through ``metrics()``
+    #: (blocks, certificates, group commits ...): the first replica's
+    #: delivery layer, the :class:`MultiChain`, or the comparator cluster.
+    reporter: Any
     #: Fault-injection surface: the network plus ``{id: replica}`` (and,
     #: for SMARTCHAIN, ``{id: SmartChainNode}``).  Builders that cannot
     #: host Byzantine replicas (the comparators) leave these unset.
@@ -378,31 +367,46 @@ class _Built:
     nodes: dict[int, Any] | None = None
 
 
-def _pipeline_suffix(label: str, sc: Scenario) -> str:
-    """Append the pipelining knobs to a ``(...)`` label when non-default."""
+def _label(name: str, sc: Scenario, *traits: str) -> str:
+    """``name (trait, ...)``, with the sharding, engine and pipelining
+    knobs appended when they are not the defaults."""
+    traits += (f"n={sc.n}",)
+    if sc.shards > 1:
+        traits += (f"shards={sc.shards}",)
+        if sc.cross_shard_fraction > 0:
+            traits += (f"x={sc.cross_shard_fraction:g}",)
+    if sc.system == "smartchain" and sc.engine != "modsmart":
+        traits += (sc.engine,)
     if sc.pipeline_depth != 1 or sc.exec_cores != 1:
-        label = (f"{label[:-1]}, depth={sc.pipeline_depth}, "
-                 f"cores={sc.exec_cores})")
-    return label
+        traits += (f"depth={sc.pipeline_depth}", f"cores={sc.exec_cores}")
+    return f"{name} ({', '.join(traits)})"
+
+
+def _chain_label(sc: Scenario) -> str:
+    return _label(f"SmartChain {sc.variant.value}", sc, sc.storage.value,
+                  sc.verification.value)
+
+
+def _smr_config(sc: Scenario) -> SMRConfig:
+    return SMRConfig(n=sc.n, f=(sc.n - 1) // 3, verification=sc.verification,
+                     pipeline_depth=sc.pipeline_depth,
+                     exec_cores=sc.exec_cores)
+
+
+def _chain_config(sc: Scenario) -> SmartChainConfig:
+    return SmartChainConfig(smr=_smr_config(sc), variant=sc.variant,
+                            storage=sc.storage,
+                            checkpoint_period=sc.checkpoint_period)
 
 
 def _build_smartchain(sim: Simulator, sc: Scenario,
                       costs: CostModel) -> _Built:
     if sc.shards > 1:
         return _build_multishard(sim, sc, costs)
-    f = (sc.n - 1) // 3
-    config = SmartChainConfig(
-        smr=SMRConfig(n=sc.n, f=f, verification=sc.verification,
-                      pipeline_depth=sc.pipeline_depth,
-                      exec_cores=sc.exec_cores),
-        variant=sc.variant,
-        storage=sc.storage,
-        checkpoint_period=sc.checkpoint_period,
-    )
     minters = all_minter_addresses(sc.clients)
     consortium = bootstrap(sim, tuple(range(sc.n)),
                            lambda: SmartCoin(minters=minters),
-                           config, costs=costs, engine=sc.engine)
+                           _chain_config(sc), costs=costs, engine=sc.engine)
     view_holder = [consortium.genesis.view]
     for node in consortium.nodes.values():
         node.view_listeners.append(
@@ -410,19 +414,12 @@ def _build_smartchain(sim: Simulator, sc: Scenario,
     stations, _wallets = deploy_clients(
         sim, consortium.network, lambda: view_holder[0], sc.clients,
         workload=sc.workload, signed=_signed(sc.verification))
-    label = (f"SmartChain {sc.variant.value} "
-             f"({sc.storage.value}, {sc.verification.value}, n={sc.n})")
-    if sc.engine != "modsmart":
-        label = f"{label[:-1]}, {sc.engine})"
-    label = _pipeline_suffix(label, sc)
-    node0 = consortium.node(0)
-    return _Built(stations, label, consortium, lambda: {
-        "blocks": node0.delivery.blocks_built,
-        "certificates": node0.delivery.certs_completed,
-    }, network=consortium.network,
-        replicas={nid: node.replica
-                  for nid, node in consortium.nodes.items()},
-        nodes=dict(consortium.nodes))
+    return _Built(stations, _chain_label(sc), consortium,
+                  consortium.node(0).delivery,
+                  network=consortium.network,
+                  replicas={nid: node.replica
+                            for nid, node in consortium.nodes.items()},
+                  nodes=dict(consortium.nodes))
 
 
 def _event_app_hook(sim: Simulator, node_id: int) -> Callable[..., None]:
@@ -449,23 +446,11 @@ def _build_multishard(sim: Simulator, sc: Scenario,
     from repro.ledger.xshard import TransferVerifier
     from repro.workloads.coingen import deploy_sharded_clients
 
-    f = (sc.n - 1) // 3
     minters = all_minter_addresses(sc.clients)
-
-    def config_factory(shard: int) -> SmartChainConfig:
-        return SmartChainConfig(
-            smr=SMRConfig(n=sc.n, f=f, verification=sc.verification,
-                          pipeline_depth=sc.pipeline_depth,
-                          exec_cores=sc.exec_cores),
-            variant=sc.variant,
-            storage=sc.storage,
-            checkpoint_period=sc.checkpoint_period,
-        )
-
     multichain = bootstrap_shards(
         sim, sc.shards, sc.n,
         lambda shard: SmartCoin(minters=minters),
-        config_factory, costs=costs, engine=sc.engine)
+        lambda shard: _chain_config(sc), costs=costs, engine=sc.engine)
     genesis_by_shard = {shard: multichain.genesis_of(shard)
                         for shard in range(sc.shards)}
     record_events = sim.obs.record_events
@@ -480,187 +465,80 @@ def _build_multishard(sim: Simulator, sc: Scenario,
         sim, multichain.network, multichain, sc.clients,
         cross_shard_fraction=sc.cross_shard_fraction,
         workload=sc.workload, signed=_signed(sc.verification))
-    label = (f"SmartChain {sc.variant.value} "
-             f"({sc.storage.value}, {sc.verification.value}, n={sc.n}, "
-             f"shards={sc.shards}")
-    if sc.cross_shard_fraction > 0:
-        label = f"{label}, x={sc.cross_shard_fraction:g}"
-    label = f"{label})"
-    if sc.engine != "modsmart":
-        label = f"{label[:-1]}, {sc.engine})"
-    label = _pipeline_suffix(label, sc)
-
-    def metrics() -> dict[str, Any]:
-        per_shard: dict[str, dict[str, Any]] = {}
-        blocks = certificates = redeemed = 0
-        for shard, group in enumerate(multichain.groups):
-            node0 = min(group.nodes.values(), key=lambda node: node.id)
-            app = node0.app
-            entry = {
-                "blocks": node0.delivery.blocks_built,
-                "certificates": node0.delivery.certs_completed,
-                "redeemed": len(app.redeemed),
-                "xlock_value_out": app.xlock_value_out,
-                "xmint_value_in": app.xmint_value_in,
-            }
-            per_shard[str(shard)] = entry
-            blocks += entry["blocks"]
-            certificates += entry["certificates"]
-            redeemed += entry["redeemed"]
-        return {
-            "blocks": blocks,
-            "certificates": certificates,
-            "transfers_redeemed": redeemed,
-            "per_shard": per_shard,
-        }
-
-    return _Built(stations, label, multichain, metrics,
+    return _Built(stations, _chain_label(sc), multichain, multichain,
                   network=multichain.network,
                   replicas=multichain.replicas(),
                   nodes=multichain.nodes())
 
 
-def _build_modsmart_cluster(sim, costs, n, verification, delivery_factory,
-                            engine="modsmart", pipeline_depth=1,
-                            exec_cores=1):
+def _build_modsmart(sim: Simulator, sc: Scenario, costs: CostModel,
+                    delivery_type: type, name: str) -> _Built:
+    """A plain Mod-SMaRt cluster with one ``delivery_type`` layer per
+    replica (the naive and Dura-SMaRt stacks of Table I)."""
     registry = KeyRegistry(seed=sim.seed)
     network = Network(sim, costs.network)
     keydir = KeyDirectory()
-    f = (n - 1) // 3
-    view = View(0, tuple(range(n)))
-    config = SMRConfig(n=n, f=f, verification=verification,
-                       pipeline_depth=pipeline_depth, exec_cores=exec_cores)
-    replicas = []
-    for replica_id in view.members:
-        replicas.append(ModSmartReplica(
-            sim, network, registry, keydir, replica_id, view, config, costs,
-            delivery_factory(), engine=engine))
-    return network, view, replicas
-
-
-def _build_naive(sim: Simulator, sc: Scenario, costs: CostModel) -> _Built:
+    view = View(0, tuple(range(sc.n)))
+    config = _smr_config(sc)
     minters = all_minter_addresses(sc.clients)
-    network, view, replicas = _build_modsmart_cluster(
-        sim, costs, sc.n, sc.verification,
-        lambda: NaiveBlockchainDelivery(SmartCoin(minters=minters),
-                                        sc.storage),
-        engine=sc.engine, pipeline_depth=sc.pipeline_depth,
-        exec_cores=sc.exec_cores)
+    replicas = [
+        ModSmartReplica(sim, network, registry, keydir, replica_id, view,
+                        config, costs,
+                        delivery_type(SmartCoin(minters=minters), sc.storage),
+                        engine=sc.engine)
+        for replica_id in view.members]
     stations, _ = deploy_clients(sim, network, lambda: view, sc.clients,
                                  workload=sc.workload,
                                  signed=_signed(sc.verification))
-    label = (f"SMaRtCoin naive ({sc.verification.value} verify, "
-             f"{sc.storage.value} writes, n={sc.n})")
-    label = _pipeline_suffix(label, sc)
-    return _Built(stations, label, replicas, lambda: {
-        "blocks": replicas[0].delivery.blocks_built,
-    }, network=network, replicas={r.id: r for r in replicas})
+    label = _label(name, sc, f"{sc.verification.value} verify",
+                   f"{sc.storage.value} writes")
+    return _Built(stations, label, replicas, replicas[0].delivery,
+                  network=network,
+                  replicas={r.id: r for r in replicas})
 
 
-def _build_dura(sim: Simulator, sc: Scenario, costs: CostModel) -> _Built:
-    minters = all_minter_addresses(sc.clients)
-    network, view, replicas = _build_modsmart_cluster(
-        sim, costs, sc.n, sc.verification,
-        lambda: DuraSmartDelivery(SmartCoin(minters=minters), sc.storage),
-        engine=sc.engine, pipeline_depth=sc.pipeline_depth,
-        exec_cores=sc.exec_cores)
-    stations, _ = deploy_clients(sim, network, lambda: view, sc.clients,
-                                 workload=sc.workload,
-                                 signed=_signed(sc.verification))
-    label = (f"Durable-SMaRt ({sc.verification.value} verify, "
-             f"{sc.storage.value} writes, n={sc.n})")
-    label = _pipeline_suffix(label, sc)
-
-    def metrics() -> dict[str, Any]:
-        groups = replicas[0].delivery.group_sizes
-        return {
-            "group_commits": len(groups),
-            "mean_group_commit": sum(groups) / len(groups) if groups else 0,
-        }
-
-    return _Built(stations, label, replicas, metrics,
-                  network=network, replicas={r.id: r for r in replicas})
-
-
-def _build_tendermint(sim: Simulator, sc: Scenario,
-                      costs: CostModel) -> _Built:
+def _build_comparator(sim: Simulator, sc: Scenario, costs: CostModel,
+                      cluster_type: type, config_type: type,
+                      label: str) -> _Built:
+    """A Table II comparator: its own cluster model, the same clients."""
     network = Network(sim, costs.network)
-    config = sc.config or TendermintConfig()
     minters = all_minter_addresses(sc.clients)
-    cluster = TendermintCluster(sim, network, config, costs,
-                                lambda: SmartCoin(minters=minters))
+    cluster = cluster_type(sim, network, sc.config or config_type(), costs,
+                           lambda: SmartCoin(minters=minters))
     view = cluster.view()
     stations, _ = deploy_clients(sim, network, lambda: view, sc.clients,
                                  workload=sc.workload, signed=True)
-    return _Built(stations, "Tendermint", cluster, lambda: {
-        "blocks": cluster.nodes[0].blocks_committed,
-    })
-
-
-def _build_fabric(sim: Simulator, sc: Scenario, costs: CostModel) -> _Built:
-    network = Network(sim, costs.network)
-    config = sc.config or FabricConfig()
-    minters = all_minter_addresses(sc.clients)
-    cluster = FabricCluster(sim, network, config, costs,
-                            lambda: SmartCoin(minters=minters))
-    view = cluster.view()
-    stations, _ = deploy_clients(sim, network, lambda: view, sc.clients,
-                                 workload=sc.workload, signed=True)
-    return _Built(stations, "Hyperledger Fabric", cluster, lambda: {
-        "blocks": cluster.peers[0].blocks_committed,
-    })
+    return _Built(stations, label, cluster, cluster)
 
 
 _BUILDERS: dict[str, Callable[[Simulator, Scenario, CostModel], _Built]] = {
     "smartchain": _build_smartchain,
-    "naive": _build_naive,
-    "dura": _build_dura,
-    "tendermint": _build_tendermint,
-    "fabric": _build_fabric,
+    "naive": partial(_build_modsmart, delivery_type=NaiveBlockchainDelivery,
+                     name="SMaRtCoin naive"),
+    "dura": partial(_build_modsmart, delivery_type=DuraSmartDelivery,
+                    name="Durable-SMaRt"),
+    "tendermint": partial(_build_comparator, cluster_type=TendermintCluster,
+                          config_type=TendermintConfig, label="Tendermint"),
+    "fabric": partial(_build_comparator, cluster_type=FabricCluster,
+                      config_type=FabricConfig, label="Hyperledger Fabric"),
 }
 
 
 # ----------------------------------------------------------------------
-# The single entry point
+# Instrument: auditors on the event stream, fault plan on the runtimes
 # ----------------------------------------------------------------------
-def run(scenario: Scenario) -> ExperimentResult:
-    """Execute one scenario and measure it the paper's way.
-
-    When ``scenario.observe`` is set, the run records metrics, pipeline
-    spans and resource utilization, and the result carries a machine-
-    readable report (:attr:`ExperimentResult.report`).  When
-    ``scenario.audit`` is set, a :class:`~repro.obs.audit.SafetyAuditor`
-    checks the protocol event stream online and the run fails with
-    :class:`~repro.obs.audit.AuditError` on any invariant violation.
-    """
-    builder = _BUILDERS.get(scenario.system)
-    if builder is None:
-        raise ValueError(
-            f"unknown system {scenario.system!r}; "
-            f"expected one of {sorted(_BUILDERS)}")
-    fault_plan = None
-    if scenario.faults is not None:
-        from repro.faults import load_plan
-        # Resolve the plan up front: the liveness auditor reads the plan's
-        # ``liveness`` hints (GST, bound) before the injector installs it.
-        fault_plan = load_plan(scenario.faults)
-    record_events = scenario.record_events
-    if record_events is None:
-        record_events = scenario.observe
-    costs = scenario.costs or CostModel()
-    obs = Observability(enabled=scenario.observe,
-                        sample_every=scenario.trace_sample_every,
-                        record_events=(record_events or scenario.audit
-                                       or scenario.audit_liveness),
-                        event_capacity=scenario.event_capacity)
-    auditor = None
+def _attach_auditors(scenario: Scenario, obs: Observability, plan: Any,
+                     costs: CostModel) -> None:
+    """Subscribe the auditors the scenario asks for; each registers itself
+    on ``obs`` (``obs.auditor`` / ``obs.liveness`` / ``obs.recovery``)."""
+    from repro.core.multichain import shard_of_node
+    sharded = scenario.shards > 1
     if scenario.audit:
-        if scenario.shards > 1:
+        if sharded:
             # One scoped safety auditor per shard (consensus ids and block
             # heights restart per group, so one global auditor would flag
             # phantom agreement violations), plus the cross-shard
             # no-double-mint invariant over cert-redemption events.
-            from repro.core.multichain import shard_of_node
             from repro.obs.shard import (CrossShardAuditor, ShardAuditGroup,
                                          ShardScopedSafetyAuditor)
             auditor = ShardAuditGroup(
@@ -670,77 +548,76 @@ def run(scenario: Scenario) -> ExperimentResult:
         else:
             auditor = SafetyAuditor()
         auditor.attach(obs)
-    liveness = None
     if scenario.audit_liveness:
         from repro.obs.liveness import LivenessAuditor
-        hints = dict(getattr(fault_plan, "liveness", None) or {})
-        bound = scenario.liveness_bound
-        if bound is None:
-            bound = hints.get("bound", 1.0)
-        gst = scenario.liveness_gst
-        if gst is None:
-            gst = hints.get("gst", costs.network.gst)
-        wedge_k = scenario.wedge_k
-        if wedge_k is None:
-            wedge_k = hints.get("wedge_k", 4)
-        if scenario.shards > 1:
+        # An explicit scenario field wins over the fault plan's hint,
+        # which wins over the default.
+        hints = plan.liveness if plan is not None else {}
+        params = {
+            key: hints.get(key, default) if explicit is None else explicit
+            for key, explicit, default in (
+                ("bound", scenario.liveness_bound, 1.0),
+                ("gst", scenario.liveness_gst, costs.network.gst),
+                ("wedge_k", scenario.wedge_k, 4))}
+        if sharded:
             # Per-shard regency timelines: shard 1's leader changes must
             # not reset shard 0's wedge counter (and vice versa).
-            from repro.core.multichain import shard_of_node
             from repro.obs.shard import (ShardLivenessGroup,
                                          ShardScopedLivenessAuditor)
             liveness = ShardLivenessGroup(
-                [ShardScopedLivenessAuditor(shard, shard_of_node,
-                                            bound=bound, gst=gst,
-                                            wedge_k=wedge_k)
+                [ShardScopedLivenessAuditor(shard, shard_of_node, **params)
                  for shard in range(scenario.shards)])
         else:
-            liveness = LivenessAuditor(bound=bound, gst=gst, wedge_k=wedge_k)
+            liveness = LivenessAuditor(**params)
         liveness.attach(obs)
-    recovery = None
     if scenario.audit:
         # Recovery evidence rides the same event stream the safety auditor
         # checks: every audited run also verifies that recovered replicas
         # rejoin on the canonical chain (docs/faults.md).
         from repro.obs.recovery import RecoveryAuditor
-        if scenario.shards > 1:
-            from repro.core.multichain import shard_of_node
-            recovery = RecoveryAuditor(scope=shard_of_node)
-        else:
-            recovery = RecoveryAuditor()
-        recovery.attach(obs)
-    sim = Simulator(scenario.seed, obs=obs)
-    built = builder(sim, scenario, costs)
-    if fault_plan is not None:
-        from repro.faults import FaultInjector
-        if built.replicas is None:
+        RecoveryAuditor(
+            scope=shard_of_node if sharded else None).attach(obs)
+
+
+def _install_faults(plan: Any, scenario: Scenario, sim: Simulator,
+                    built: _Built) -> None:
+    from repro.faults import FaultInjector
+    if built.replicas is None:
+        raise ValueError(
+            f"system {scenario.system!r} does not support fault "
+            "injection (no replica runtimes to compromise)")
+    replicas = built.replicas
+    nodes = built.nodes
+    if plan.shard is not None:
+        # Shard-scoped plan: translate its shard-relative node ids to
+        # global ids and confine the injection surface to that shard's
+        # runtimes, so protocol overrides, crashes and partitions
+        # cannot leak into other groups.
+        from repro.core.multichain import SHARD_STRIDE, shard_of_node
+        if plan.shard >= scenario.shards:
             raise ValueError(
-                f"system {scenario.system!r} does not support fault "
-                "injection (no replica runtimes to compromise)")
-        plan = fault_plan
-        replicas = built.replicas
-        nodes = built.nodes
-        if plan.shard is not None:
-            # Shard-scoped plan: translate its shard-relative node ids to
-            # global ids and confine the injection surface to that shard's
-            # runtimes, so protocol overrides, crashes and partitions
-            # cannot leak into other groups.
-            from repro.core.multichain import SHARD_STRIDE, shard_of_node
-            if plan.shard >= scenario.shards:
-                raise ValueError(
-                    f"fault plan {plan.name!r} targets shard {plan.shard} "
-                    f"but the scenario has {scenario.shards} shard(s)")
-            plan = plan.scoped_to(plan.shard * SHARD_STRIDE)
-            replicas = {nid: replica for nid, replica in replicas.items()
-                        if shard_of_node(nid) == plan.shard}
-            nodes = ({nid: node for nid, node in nodes.items()
-                      if shard_of_node(nid) == plan.shard}
-                     if nodes is not None else None)
-        FaultInjector(plan).install(sim, built.network, replicas, nodes)
+                f"fault plan {plan.name!r} targets shard {plan.shard} "
+                f"but the scenario has {scenario.shards} shard(s)")
+        plan = plan.scoped_to(plan.shard * SHARD_STRIDE)
+        replicas = {nid: replica for nid, replica in replicas.items()
+                    if shard_of_node(nid) == plan.shard}
+        nodes = ({nid: node for nid, node in nodes.items()
+                  if shard_of_node(nid) == plan.shard}
+                 if nodes is not None else None)
+    FaultInjector(plan).install(sim, built.network, replicas, nodes)
+
+
+# ----------------------------------------------------------------------
+# Simulate, then collect what the layers report
+# ----------------------------------------------------------------------
+def _simulate(sim: Simulator, built: _Built,
+              duration: float) -> dict[str, int]:
+    """Run the deployment to ``duration``; returns what the run added to
+    the hashing-cache counters."""
     for station in built.stations:
         station.start_all(stagger=0.002)
-    # Start cold so the per-run cache deltas reported below are
-    # deterministic regardless of what ran earlier in this process.
+    # Start cold so the per-run cache deltas are deterministic regardless
+    # of what ran earlier in this process.
     _hashing.clear_caches()
     cache_before = _hashing.cache_stats()
     # The run allocates millions of short-lived, almost entirely acyclic
@@ -751,227 +628,113 @@ def run(scenario: Scenario) -> ExperimentResult:
     if gc_was_enabled:
         gc.disable()
     try:
-        sim.run(until=scenario.duration)
+        sim.run(until=duration)
     finally:
         if gc_was_enabled:
             gc.enable()
-    metrics = built.metrics()
     cache_after = _hashing.cache_stats()
-    for key, before in cache_before.items():
-        metrics[key] = cache_after[key] - before
+    return {key: cache_after[key] - before
+            for key, before in cache_before.items()}
+
+
+def _merge(parts: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """Cluster-wide view of per-replica tallies: numbers add up, nested
+    dicts (regency -> timeout) keep the maximum per key."""
+    out: dict[str, Any] = {}
+    for part in parts:
+        for key, value in part.items():
+            if isinstance(value, dict):
+                merged = out.setdefault(key, {})
+                for sub, number in value.items():
+                    merged[sub] = max(merged.get(sub, 0.0), number)
+            else:
+                out[key] = out.get(key, 0) + value
+    return out
+
+
+def _collect(sim: Simulator, built: _Built,
+             caches: dict[str, int]) -> dict[str, Any]:
+    """The run's scalar metrics, merged from what each layer reports about
+    itself through its ``metrics()``; mirrored into the metrics registry
+    when the run is observed."""
+    metrics = {**built.reporter.metrics(), **caches}
     metrics["heap_compactions"] = sim.compactions
-    if built.replicas is not None:
-        # Synchronizer health rollup: how often the cluster changed leader,
-        # how often a progress watchdog fired, and the (possibly backed-off)
-        # timeout each regency was installed with (cluster-wide max, keyed
-        # by regency number as a string so the dict survives json.dumps).
-        synchronizers = [replica.synchronizer
-                         for replica in built.replicas.values()]
-        metrics["regency_changes"] = sum(
-            s.regency_changes for s in synchronizers)
-        metrics["watchdog_fires"] = sum(
-            s.watchdog_fires for s in synchronizers)
-        timeouts: dict[str, float] = {}
-        for sync in synchronizers:
-            for regency, timeout in sync.timeout_history.items():
-                key = str(regency)
-                timeouts[key] = max(timeouts.get(key, 0.0), timeout)
-        metrics["regency_timeouts"] = timeouts
-        # Recovery/storage health rollup (docs/faults.md, "Storage faults
-        # & verified recovery"): cluster-wide totals of what verified
-        # recovery replayed, cut and fell back on, plus the storage-level
-        # detections that triggered it.
-        metrics["recovery.verified_entries"] = sum(
-            getattr(r.delivery, "recovery_verified_entries", 0)
-            for r in built.replicas.values())
-        metrics["recovery.truncated_entries"] = sum(
-            getattr(r.delivery, "recovery_truncated_entries", 0)
-            for r in built.replicas.values())
-        metrics["recovery.fallbacks"] = sum(
-            getattr(r.delivery, "recovery_fallbacks", 0)
-            for r in built.replicas.values())
-        metrics["storage.bitrot_detected"] = sum(
-            r.store.bitrot_detected for r in built.replicas.values())
-        metrics["storage.gray_periods"] = sum(
-            r.store.disk.gray_periods for r in built.replicas.values())
-        # Records the canonical encoder rejected (checksummed by repr, and
-        # so hashed by every replica): checkpoints legitimately, anything
-        # on the delivery path by accident.
-        metrics["storage.repr_checksums"] = sum(
-            r.store.repr_checksums for r in built.replicas.values())
-    if obs.enabled:
-        for key, before in cache_before.items():
-            obs.metrics.counter(f"crypto.{key}").inc(cache_after[key] - before)
-        obs.metrics.counter("sim.heap_compactions").inc(sim.compactions)
-        if built.replicas is not None:
-            obs.metrics.counter("sync.regency_changes").inc(
-                metrics["regency_changes"])
-            obs.metrics.counter("sync.watchdog_fires").inc(
-                metrics["watchdog_fires"])
-            for key in ("recovery.verified_entries",
-                        "recovery.truncated_entries", "recovery.fallbacks",
-                        "storage.bitrot_detected", "storage.gray_periods",
-                        "storage.repr_checksums"):
-                obs.metrics.counter(key).inc(metrics[key])
+    # Synchronizer, recovery and storage health, cluster-wide (docs/faults.md,
+    # "Storage faults & verified recovery"); the comparators have no replicas.
+    tallies = _merge(part for replica in (built.replicas or {}).values()
+                     for part in (replica.synchronizer.metrics(),
+                                  replica.delivery.recovery.metrics(),
+                                  replica.store.metrics()))
+    metrics.update(tallies)
+    counters = sim.obs.metrics
+    if sim.obs.enabled:
+        for key, delta in caches.items():
+            counters.counter(f"crypto.{key}").inc(delta)
+        counters.counter("sim.heap_compactions").inc(sim.compactions)
+        for key, value in tallies.items():
+            if not isinstance(value, dict):
+                # The registry files the synchronizer's bare keys under
+                # ``sync.``; recovery/storage keys carry their namespace.
+                name = key if "." in key else f"sync.{key}"
+                counters.counter(name).inc(value)
         for shard, entry in metrics.get("per_shard", {}).items():
-            obs.metrics.counter(f"shard.{shard}.blocks").inc(
-                entry["blocks"])
-            obs.metrics.counter(f"shard.{shard}.certificates").inc(
-                entry["certificates"])
-            obs.metrics.counter(f"shard.{shard}.transfers_redeemed").inc(
+            for key in ("blocks", "certificates"):
+                counters.counter(f"shard.{shard}.{key}").inc(entry[key])
+            counters.counter(f"shard.{shard}.transfers_redeemed").inc(
                 entry["redeemed"])
+    return metrics
+
+
+# ----------------------------------------------------------------------
+# The single entry point
+# ----------------------------------------------------------------------
+def run(scenario: Scenario) -> ExperimentResult:
+    """Execute one scenario and measure it the paper's way: build the
+    stack, instrument it (auditors, fault plan), simulate, collect.
+
+    When ``scenario.observe`` is set, the run records metrics, pipeline
+    spans and resource utilization, and the result carries a machine-
+    readable report (:attr:`ExperimentResult.report`).  When
+    ``scenario.audit`` is set, a :class:`~repro.obs.audit.SafetyAuditor`
+    checks the protocol event stream online and the run fails with
+    :class:`~repro.obs.audit.AuditError` on any invariant violation.
+    """
+    plan = None
+    if scenario.faults is not None:
+        from repro.faults import load_plan
+        plan = load_plan(scenario.faults)
+    record_events = scenario.record_events
+    if record_events is None:
+        record_events = scenario.observe
+    costs = scenario.costs or CostModel()
+    obs = Observability(enabled=scenario.observe,
+                        sample_every=scenario.trace_sample_every,
+                        record_events=(record_events or scenario.audit
+                                       or scenario.audit_liveness),
+                        event_capacity=scenario.event_capacity)
+    sim = Simulator(scenario.seed, obs=obs)
+    built = _BUILDERS[scenario.system](sim, scenario, costs)
+
+    _attach_auditors(scenario, obs, plan, costs)
+    if plan is not None:
+        _install_faults(plan, scenario, sim, built)
+
+    caches = _simulate(sim, built, scenario.duration)
+
     result = _measure(built.stations, scenario.duration,
                       scenario.label or built.label,
                       op_window=scenario.op_window,
                       warmup=scenario.warmup,
-                      metrics=metrics)
+                      metrics=_collect(sim, built, caches))
     result.handle = RunHandle(scenario=scenario, sim=sim, obs=obs,
                               stations=built.stations, system=built.system)
-    if liveness is not None:
+    if obs.liveness is not None:
         # Flag still-unreplied requests against the horizon before the
         # report snapshots the auditor's summary.
-        liveness.finalize(scenario.duration)
+        obs.liveness.finalize(scenario.duration)
     if scenario.observe:
         result.report = build_run_report(result, obs, scenario.duration)
-    if auditor is not None:
-        auditor.raise_if_violated()
-    if liveness is not None:
-        liveness.raise_if_violated()
-    if recovery is not None:
-        recovery.raise_if_violated()
+    for auditor in (obs.auditor, obs.liveness, obs.recovery):
+        if auditor is not None:
+            auditor.raise_if_violated()
     return result
-
-
-# ----------------------------------------------------------------------
-# Deprecated wrappers (thin Scenario constructors)
-# ----------------------------------------------------------------------
-def _deprecated_wrapper(name: str) -> None:
-    warnings.warn(
-        f"{name}() is deprecated; construct a Scenario and call run() "
-        f"instead: run(Scenario(system=..., ...))",
-        DeprecationWarning, stacklevel=3)
-
-
-def run_smartchain(
-    variant: PersistenceVariant = PersistenceVariant.STRONG,
-    storage: StorageMode = StorageMode.SYNC,
-    verification: VerificationMode = VerificationMode.PARALLEL,
-    n: int = 4,
-    clients: int = 2400,
-    duration: float = 4.0,
-    seed: int = 1,
-    checkpoint_period: int = 10_000,
-    costs: CostModel | None = None,
-    workload: str = "spend",
-    label: str | None = None,
-    warmup: float = DEFAULT_WARMUP,
-    observe: bool = False,
-    audit: bool = False,
-    faults: Any = None,
-    engine: str = "modsmart",
-) -> ExperimentResult:
-    """One SMARTCHAIN configuration under the SMaRtCoin workload.
-
-    .. deprecated:: construct a :class:`Scenario` and call :func:`run`.
-    """
-    _deprecated_wrapper("run_smartchain")
-    return run(Scenario(
-        system="smartchain", variant=variant, storage=storage,
-        verification=verification, n=n, clients=clients, duration=duration,
-        seed=seed, checkpoint_period=checkpoint_period, costs=costs,
-        workload=workload, label=label, warmup=warmup, observe=observe,
-        audit=audit, faults=faults, engine=engine))
-
-
-def run_naive_smartcoin(
-    verification: VerificationMode = VerificationMode.SEQUENTIAL,
-    storage: StorageMode = StorageMode.SYNC,
-    n: int = 4,
-    clients: int = 2400,
-    duration: float = 4.0,
-    seed: int = 1,
-    costs: CostModel | None = None,
-    workload: str = "spend",
-    label: str | None = None,
-    warmup: float = DEFAULT_WARMUP,
-    observe: bool = False,
-    audit: bool = False,
-) -> ExperimentResult:
-    """The naive design of Section IV: app-level blockchain inside the SMR.
-
-    .. deprecated:: construct a :class:`Scenario` and call :func:`run`.
-    """
-    _deprecated_wrapper("run_naive_smartcoin")
-    return run(Scenario(
-        system="naive", verification=verification, storage=storage, n=n,
-        clients=clients, duration=duration, seed=seed, costs=costs,
-        workload=workload, label=label, warmup=warmup, observe=observe, audit=audit))
-
-
-def run_dura_smart(
-    verification: VerificationMode = VerificationMode.PARALLEL,
-    storage: StorageMode = StorageMode.SYNC,
-    n: int = 4,
-    clients: int = 2400,
-    duration: float = 4.0,
-    seed: int = 1,
-    costs: CostModel | None = None,
-    workload: str = "spend",
-    label: str | None = None,
-    warmup: float = DEFAULT_WARMUP,
-    observe: bool = False,
-    audit: bool = False,
-) -> ExperimentResult:
-    """SMaRtCoin over the BFT-SMART durability layer (Dura-SMaRt).
-
-    .. deprecated:: construct a :class:`Scenario` and call :func:`run`.
-    """
-    _deprecated_wrapper("run_dura_smart")
-    return run(Scenario(
-        system="dura", verification=verification, storage=storage, n=n,
-        clients=clients, duration=duration, seed=seed, costs=costs,
-        workload=workload, label=label, warmup=warmup, observe=observe, audit=audit))
-
-
-def run_tendermint(
-    clients: int = 2400,
-    duration: float = 6.0,
-    seed: int = 1,
-    costs: CostModel | None = None,
-    config: TendermintConfig | None = None,
-    label: str = "Tendermint",
-    warmup: float = DEFAULT_WARMUP,
-    observe: bool = False,
-    audit: bool = False,
-) -> ExperimentResult:
-    """Tendermint comparator run.
-
-    .. deprecated:: construct a :class:`Scenario` and call :func:`run`.
-    """
-    _deprecated_wrapper("run_tendermint")
-    return run(Scenario(
-        system="tendermint", clients=clients, duration=duration, seed=seed,
-        costs=costs, config=config, label=label, warmup=warmup,
-        observe=observe, audit=audit))
-
-
-def run_fabric(
-    clients: int = 2400,
-    duration: float = 6.0,
-    seed: int = 1,
-    costs: CostModel | None = None,
-    config: FabricConfig | None = None,
-    label: str = "Hyperledger Fabric",
-    warmup: float = DEFAULT_WARMUP,
-    observe: bool = False,
-    audit: bool = False,
-) -> ExperimentResult:
-    """Hyperledger Fabric comparator run.
-
-    .. deprecated:: construct a :class:`Scenario` and call :func:`run`.
-    """
-    _deprecated_wrapper("run_fabric")
-    return run(Scenario(
-        system="fabric", clients=clients, duration=duration, seed=seed,
-        costs=costs, config=config, label=label, warmup=warmup,
-        observe=observe, audit=audit))

@@ -27,8 +27,7 @@ the engine only through the narrow hooks below (``writeset_for`` /
 
 Engines register under a string key (:func:`register_engine`) so scenarios
 and the bench CLI can select them by name: ``Scenario(engine="fastbft")``,
-``run_smartchain(engine="fastbft")``, ``python -m repro.bench --engine
-fastbft``.
+``python -m repro.bench --engine fastbft``.
 """
 
 from __future__ import annotations

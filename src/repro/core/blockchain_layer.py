@@ -53,9 +53,16 @@ from repro.smr import scheduler
 from repro.smr.requests import ClientRequest, Decision
 from repro.smr.service import Application, SequentialDelivery
 from repro.smr.views import View
-from repro.storage.stable import AsyncFlusher
 
 __all__ = ["SmartChainDelivery", "ReconfigOutcome", "CheckpointInfo"]
+
+
+def _decided_batch_hash(transactions: list[TxRecord]) -> bytes:
+    """The batch hash the ``decide`` events carried, recomputed from a
+    block's transaction records (:func:`repro.smr.requests.batch_digest`
+    over the requests' canonical forms)."""
+    return hash_obj([("req", t.client_id, t.req_id, t.special, repr(t.op))
+                     for t in transactions])
 
 
 class ReconfigOutcome:
@@ -105,7 +112,6 @@ class SmartChainDelivery(SequentialDelivery):
         self.last_reconfig = -1
         self.last_checkpoint = -1
         self.executed_cid = -1
-        self._flusher: AsyncFlusher | None = None
         #: PERSIST signatures collected per block number.
         self._persist_votes: dict[int, dict[int, tuple[bytes, Signature]]] = {}
         #: Blocks waiting for their certificate: number -> (digest, completion).
@@ -119,8 +125,7 @@ class SmartChainDelivery(SequentialDelivery):
         #: The owning SmartChainNode (set by the node; optional for tests).
         self.node = None
         #: Members whose consensus keys are recorded on the chain, per view.
-        self.recorded_members: dict[int, set[int]] = {
-            0: {a.replica_id for a in genesis.key_announcements}}
+        self.recorded_members: dict[int, set[int]] = self._genesis_members()
         #: Recent checkpoint generations, oldest first (the initial one
         #: stands in for genesis).  Several are retained so that state
         #: transfer can serve a package pinned to a slightly older target
@@ -134,13 +139,17 @@ class SmartChainDelivery(SequentialDelivery):
         self.certs_completed = 0
         self.certs_timed_out = 0
         self.stale_votes_rejected = 0
-        # Verified-recovery outcome (rolled into run metrics, docs/faults.md).
-        self.recovery_verified_entries = 0
-        self.recovery_truncated_entries = 0
-        self.recovery_fallbacks = 0
-        self.snapshots_rejected = 0
-        #: Report of the most recent recover_local (None before the first).
-        self.last_recovery: dict | None = None
+
+    def _genesis_members(self) -> dict[int, set[int]]:
+        return {0: {a.replica_id for a in self.genesis.key_announcements}}
+
+    @property
+    def height(self) -> int:
+        return self.chain.height
+
+    def metrics(self) -> dict[str, Any]:
+        return {"blocks": self.blocks_built,
+                "certificates": self.certs_completed}
 
     def _count(self, name: str) -> None:
         """Mirror a chain statistic into the metrics registry when observed."""
@@ -154,10 +163,6 @@ class SmartChainDelivery(SequentialDelivery):
     def attach(self, replica) -> None:
         super().attach(replica)
         replica.register_handler(PersistMsg, self._on_persist)
-        if self.storage is StorageMode.ASYNC:
-            self._flusher = AsyncFlusher(
-                replica.store, replica.config.async_flush_interval)
-            self._flusher.start()
         self._write_genesis()
         self._checkpoints = [self._make_checkpoint_info(0, -1)]
 
@@ -859,95 +864,63 @@ class SmartChainDelivery(SequentialDelivery):
     def recover_local(self) -> int:
         """Rebuild the chain and service state from the stable store.
 
-        With ``SMRConfig(verify_recovery=True)`` (the default) every stored
-        record is checked against its append-time checksum — the log is
-        truncated at the first invalid record — the rebuilt chain is walked
-        by the third-party :class:`~repro.ledger.verifier.ChainVerifier`
-        (the ledger is self-verifiable, so local recovery holds itself to
-        the same standard as a received chain), and a snapshot whose stored
-        digest mismatches is rejected.
+        The shared verified replay (:mod:`repro.smr.recovery`) adopts the
+        checksum-valid prefix of the chain file — its records carry no
+        linkage of their own; the *blocks* do.  So the chain rebuilt from
+        the adopted records is then walked by the third-party
+        :class:`~repro.ledger.verifier.ChainVerifier` (the ledger is
+        self-verifiable: local recovery holds itself to the same standard
+        as a chain received from a stranger), and the service state comes
+        from the last stable snapshot plus the blocks after it.
         """
-        if self._flusher is not None:
-            self._flusher.start()
         replica = self.replica
-        store = replica.store
-        rt = replica.runtime
-        observing = rt.observing
-        verify = replica.config.verify_recovery
-        truncated_before = self.recovery_truncated_entries
-        fallbacks_before = self.recovery_fallbacks
-        rejected_before = self.snapshots_rejected
-        raw = store.read_entries(self.LOG)
-        if verify:
-            valid = 0
-            for record in raw:
-                if not store.verify_entry(record):
-                    break
-                valid += 1
-            if valid < len(raw):
-                dropped = len(raw) - valid
-                store.bitrot_detected += 1
-                store.truncate_log(self.LOG, valid)
-                self.recovery_truncated_entries += dropped
-                self.recovery_fallbacks += 1
-                if observing:
-                    rt.notify("log-corruption-detected", log=self.LOG,
-                              index=valid, reason="checksum",
-                              dropped=dropped)
-                    rt.notify("recovery-fallback",
-                              from_cid=self.executed_cid, dropped=dropped)
-                raw = raw[:valid]
-            self.recovery_verified_entries += valid
-        entries = [record.payload for record in raw]
-        txs: dict[int, tuple] = {}
-        results: dict[int, tuple] = {}
-        headers: dict[int, tuple] = {}
-        certs: dict[int, tuple] = {}
-        specials: dict[int, tuple] = {}
-        for entry in entries:
-            kind = entry[0]
-            if kind == "txs":
-                txs[entry[1]] = (entry[2], entry[3], entry[4])
-            elif kind == "results":
-                results[entry[1]] = entry[2]
-            elif kind == "header":
-                headers[entry[1]] = (entry[2], entry[3])
-            elif kind == "cert":
-                certs[entry[1]] = entry[2]
-            elif kind == "special":
-                specials[entry[1]] = (entry[2], entry[3])
+        replay = self.begin_recovery()
+        parts: dict[str, dict[int, tuple]] = {
+            kind: {} for kind in ("txs", "results", "header", "cert",
+                                  "special")}
+
+        def adopt(record: tuple) -> int | None:
+            kind, number = record[0], record[1]
+            if kind in parts:
+                parts[kind][number] = record[2:]
+            # A header closes its block: the replica now holds it whole.
+            if kind == "header" and number in parts["txs"]:
+                return parts["txs"][number][0]
+            return None
+
+        replay.replay(self.LOG, adopt)
+        txs, results, headers = parts["txs"], parts["results"], parts["header"]
         self.chain = Blockchain(self.genesis)
-        self.recorded_members = {
-            0: {a.replica_id for a in self.genesis.key_announcements}}
+        self.recorded_members = self._genesis_members()
         number = 1
         while number in headers and number in txs and number in results:
-            header = BlockHeader.from_record(headers[number][0])
+            header_record, proof = headers[number]
+            header = BlockHeader.from_record(header_record)
             cid, tx_records, batch_hash = txs[number]
             body = BlockBody(
                 consensus_id=cid,
                 transactions=[TxRecord.from_canonical(t) for t in tx_records],
-                results=list(results[number]),
+                results=list(results[number][0]),
                 batch_hash=batch_hash,
             )
-            if number in specials:
-                ann_records, new_view_record = specials[number]
+            if number in parts["special"]:
+                ann_records, new_view_record = parts["special"][number]
                 body.key_announcements = list(ann_records)
                 body.new_view = new_view_record
             if body.hash_transactions() != header.hash_transactions:
                 break
             block = Block(header, body)
-            for rid, signer, value in headers[number][1]:
+            for rid, signer, value in proof:
                 block.consensus_proof[rid] = Signature(signer, value)
-            if number in certs:
-                block.certificate = Certificate.from_record(certs[number])
+            if number in parts["cert"]:
+                block.certificate = Certificate.from_record(
+                    parts["cert"][number][0])
             try:
                 self.chain.append(block)
             except LedgerError:
                 break
             number += 1
-        if verify and self.chain.height > 0:
-            # The ledger is self-verifiable: hold the locally recovered
-            # chain to the same standard as one received from a stranger.
+        if replay.verify and self.chain.height > 0:
             from repro.errors import VerificationError
             from repro.ledger.verifier import ChainVerifier
             verifier = ChainVerifier(replica.registry, self.genesis,
@@ -957,24 +930,11 @@ class SmartChainDelivery(SequentialDelivery):
             except VerificationError:
                 dropped = self.chain.height
                 self.chain = Blockchain(self.genesis)
-                self.recorded_members = {
-                    0: {a.replica_id for a in self.genesis.key_announcements}}
-                self.recovery_fallbacks += 1
-                if observing:
-                    rt.notify("log-corruption-detected", log=self.LOG,
-                              index=0, reason="chain-verify",
-                              dropped=dropped)
-                    rt.notify("recovery-fallback",
-                              from_cid=self.executed_cid, dropped=dropped)
+                self.recorded_members = self._genesis_members()
+                replay.fallback(-1, dropped, reason="chain-verify",
+                                log=self.LOG)
         # Service state: last stable snapshot plus replay of later blocks.
-        checkpoint = store.read_cell(self.SNAPSHOT)
-        if (verify and checkpoint is not None
-                and not store.verify_cell(self.SNAPSHOT)):
-            store.bitrot_detected += 1
-            self.snapshots_rejected += 1
-            if observing:
-                rt.notify("snapshot-rejected", key=self.SNAPSHOT)
-            checkpoint = None
+        checkpoint = replay.load_checkpoint(self.SNAPSHOT)
         replay_from = 1
         if (isinstance(checkpoint, CheckpointInfo)
                 and checkpoint.block_number <= self.chain.height):
@@ -988,39 +948,18 @@ class SmartChainDelivery(SequentialDelivery):
             replay_from = checkpoint.block_number + 1
         for block in self.chain.blocks(start=replay_from):
             self._replay_block(block)
+        head = self.chain.head()
+        recovered_cid = head.body.consensus_id if head is not None else -1
         if not self._checkpoints:
             # Anchor a synthetic checkpoint at the recovered position, so
             # state-transfer packages served by this replica pair a snapshot
             # with only the blocks that come after it.
-            head = self.chain.head()
             self._checkpoints = [self._make_checkpoint_info(
-                self.chain.height,
-                head.body.consensus_id if head is not None else -1)]
-        head = self.chain.head()
-        recovered_cid = head.body.consensus_id if head is not None else -1
-        replayed: list[tuple[int, str]] = []
-        if observing:
-            # Replay evidence for the recovery auditor: recompute each
-            # adopted block's batch hash from its transaction records (the
-            # canonical form the decide events carried).
-            for block in self.chain.blocks(start=1):
-                digest = hash_obj(
-                    [("req", t.client_id, t.req_id, t.special, repr(t.op))
-                     for t in block.body.transactions])
-                replayed.append((block.body.consensus_id, digest.hex()))
-            if verify:
-                rt.notify(
-                    "recovery-verified", entries=len(raw),
-                    truncated=(self.recovery_truncated_entries
-                               - truncated_before),
-                    cid=recovered_cid)
-        self.last_recovery = {
-            "replayed": replayed,
-            "verified": len(raw) if verify else 0,
-            "truncated": self.recovery_truncated_entries - truncated_before,
-            "snapshot_rejected": self.snapshots_rejected > rejected_before,
-            "fallback": self.recovery_fallbacks > fallbacks_before,
-        }
+                self.chain.height, recovered_cid)]
+        for block in self.chain.blocks(start=1):
+            replay.evidence(block.body.consensus_id, _decided_batch_hash,
+                            block.body.transactions)
+        replay.finish(recovered_cid)
         return recovered_cid
 
     def reconcile_local(self, supported_cid: int) -> int:
@@ -1080,11 +1019,8 @@ class SmartChainDelivery(SequentialDelivery):
         for timer in self._persist_timers.values():
             timer.cancel()
         self._persist_timers.clear()
-        self.recorded_members = {
-            0: {a.replica_id for a in self.genesis.key_announcements}}
+        self.recorded_members = self._genesis_members()
         self._checkpoints = []
-        if self._flusher is not None:
-            self._flusher.stop()
 
     # ------------------------------------------------------------------
     # Helpers

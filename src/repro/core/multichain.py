@@ -126,6 +126,29 @@ class MultiChain:
         return {shard: group.heads()
                 for shard, group in enumerate(self.groups)}
 
+    def metrics(self) -> dict[str, Any]:
+        """Progress per shard, as its first node reports it — blocks and
+        certificates from the delivery layer, cross-shard value moved from
+        the application — plus the deployment-wide totals."""
+        per_shard: dict[str, dict[str, Any]] = {}
+        for shard, group in enumerate(self.groups):
+            node0 = group.nodes[min(group.nodes)]
+            app = node0.app
+            per_shard[str(shard)] = {
+                **node0.delivery.metrics(),
+                "redeemed": len(app.redeemed),
+                "xlock_value_out": app.xlock_value_out,
+                "xmint_value_in": app.xmint_value_in,
+            }
+        return {
+            "blocks": sum(e["blocks"] for e in per_shard.values()),
+            "certificates": sum(e["certificates"]
+                                for e in per_shard.values()),
+            "transfers_redeemed": sum(e["redeemed"]
+                                      for e in per_shard.values()),
+            "per_shard": per_shard,
+        }
+
 
 class CertificateFetcher:
     """Assembles transfer certificates from a source shard's live chain.

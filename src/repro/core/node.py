@@ -37,7 +37,7 @@ from repro.smr.service import Application
 from repro.smr.views import View
 from repro.storage.stable import StableStore
 
-__all__ = ["SmartChainNode", "bootstrap", "ReplicaGroup", "Consortium"]
+__all__ = ["SmartChainNode", "bootstrap", "ReplicaGroup"]
 
 
 @dataclass
@@ -275,10 +275,6 @@ class ReplicaGroup:
 
     def heads(self) -> dict[int, int]:
         return {nid: n.chain.height for nid, n in self.nodes.items()}
-
-
-#: Back-compat alias: the pre-sharding name of the single-group result.
-Consortium = ReplicaGroup
 
 
 def bootstrap(

@@ -285,9 +285,7 @@ class StaleReplayBehavior(Behavior):
         key = replica.consensus_keys.get(retired_view)
         if key is None or key.is_erased or replica.crashed:
             return
-        height = getattr(getattr(replica.delivery, "chain", None),
-                         "height", 0)
-        target = height + 1
+        target = max(replica.delivery.height, 0) + 1
         digest = hash_obj(("stale-replay", replica.id, target,
                            self.rng.random()))
         msg = PersistMsg(block_number=target, header_digest=digest,

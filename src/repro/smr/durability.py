@@ -21,9 +21,9 @@ from typing import Any
 
 from repro.config import StorageMode
 from repro.smr import scheduler
+from repro.smr.recovery import DETACHED, LINKED
 from repro.smr.requests import Decision, batch_digest
 from repro.smr.service import Application, DeliveryLayer
-from repro.storage.stable import AsyncFlusher
 
 __all__ = ["DuraSmartDelivery"]
 
@@ -52,28 +52,17 @@ class DuraSmartDelivery(DeliveryLayer):
         self.executed_cid = -1
         self._pending_group: list[Decision] = []
         self._sync_in_flight = False
-        self._flusher: AsyncFlusher | None = None
         self._since_checkpoint = 0
         # Statistics.
         self.group_sizes: list[int] = []
         self.decisions_logged = 0
-        # Verified-recovery outcome (rolled into run metrics, docs/faults.md).
-        self.recovery_verified_entries = 0
-        self.recovery_truncated_entries = 0
-        self.recovery_fallbacks = 0
-        self.snapshots_rejected = 0
-        #: Report of the most recent :meth:`recover_local` (``None`` before
-        #: the first recovery); carried on the ``recovering`` event so the
-        #: recovery auditor can compare the replayed prefix against the
-        #: canonical decision stream.
-        self.last_recovery: dict | None = None
 
-    def attach(self, replica) -> None:
-        super().attach(replica)
-        if self.storage is StorageMode.ASYNC:
-            self._flusher = AsyncFlusher(
-                replica.store, replica.config.async_flush_interval)
-            self._flusher.start()
+    def metrics(self) -> dict[str, Any]:
+        groups = self.group_sizes
+        return {
+            "group_commits": len(groups),
+            "mean_group_commit": sum(groups) / len(groups) if groups else 0,
+        }
 
     # ------------------------------------------------------------------
     # Delivery path
@@ -184,138 +173,50 @@ class DuraSmartDelivery(DeliveryLayer):
             self.replica.store.append(self.LOG, (self.RESUME, cid), 16)
 
     def recover_local(self) -> int:
-        """Replay the stable log (from the last stable snapshot, if any).
-
-        With ``SMRConfig(verify_recovery=True)`` (the default) every record
-        is checked against its append-time checksum and for cid contiguity;
-        the log is truncated at the first invalid record and the replica
-        falls back to state transfer from the last valid cid.  The
-        ``verify_recovery=False`` escape hatch replays blindly — the
-        pre-hardening behavior kept as the negative control.
-        """
-        if self._flusher is not None:
-            self._flusher.start()
-        if not self.replica.config.verify_recovery:
-            return self._recover_unverified()
-        replica = self.replica
-        store = replica.store
-        rt = replica.runtime
-        observing = rt.observing
-        start_cid = -1
-        snapshot_rejected = False
-        checkpoint = store.read_cell(self.SNAPSHOT)
+        """Replay the stable log, from the last stable snapshot if any,
+        through the shared verified replay (:mod:`repro.smr.recovery`)."""
+        replay = self.begin_recovery()
+        checkpoint = replay.load_checkpoint(self.SNAPSHOT)
         if checkpoint is not None:
-            if store.verify_cell(self.SNAPSHOT):
-                start_cid, snapshot = checkpoint
-                self.app.install_snapshot(snapshot)
-                self.executed_cid = start_cid
-            else:
-                snapshot_rejected = True
-                store.bitrot_detected += 1
-                self.snapshots_rejected += 1
-                if observing:
-                    rt.notify("snapshot-rejected", key=self.SNAPSHOT)
-        entries = store.read_entries(self.LOG)
-        replayed: list[tuple[int, str]] = []
-        valid = 0
-        prev_cid: int | None = None
-        bad_reason = ""
-        stopped_at_marker = False
-        for entry in entries:
-            if not store.verify_entry(entry):
-                bad_reason = "checksum"
-                store.bitrot_detected += 1
-                break
-            payload = entry.payload
-            if isinstance(payload, tuple) and payload[0] == self.RESUME:
-                marker_cid = payload[1]
-                if marker_cid != self.executed_cid:
-                    # The entries past this marker continue from a state we
-                    # do not hold locally (no snapshot covers it): stop the
-                    # replay here and let state transfer close the gap.
-                    stopped_at_marker = True
-                    break
-                valid += 1
-                prev_cid = marker_cid
-                continue
-            cid, batch = payload
-            if prev_cid is not None and cid != prev_cid + 1:
-                bad_reason = "cid-gap"
-                break
-            prev_cid = cid
-            valid += 1
-            if cid <= start_cid:
-                continue
-            self.app.execute_batch(batch)
-            self.executed_cid = cid
-            if observing:
-                replayed.append(
-                    (cid, batch_digest(batch).hex()))
-        self.recovery_verified_entries += valid
-        truncated = 0
-        if bad_reason:
-            truncated = len(entries) - valid
-            store.truncate_log(self.LOG, valid)
-            self.recovery_truncated_entries += truncated
-            self.recovery_fallbacks += 1
-            if observing:
-                rt.notify("log-corruption-detected", log=self.LOG,
-                          index=valid, reason=bad_reason, dropped=truncated)
-                rt.notify("recovery-fallback", from_cid=self.executed_cid,
-                          dropped=truncated)
-        elif stopped_at_marker:
-            self.recovery_fallbacks += 1
-            if observing:
-                rt.notify("recovery-fallback", from_cid=self.executed_cid,
-                          dropped=0)
-        if observing:
-            rt.notify("recovery-verified", entries=valid,
-                      truncated=truncated, cid=self.executed_cid)
-        self.last_recovery = {
-            "replayed": replayed, "verified": valid, "truncated": truncated,
-            "snapshot_rejected": snapshot_rejected,
-            "fallback": bool(bad_reason) or stopped_at_marker,
-        }
-        return self.executed_cid
-
-    def _recover_unverified(self) -> int:
-        """Blind replay (``verify_recovery=False``): no checksum or linkage
-        checks — a corrupted record executes and silently diverges the
-        replica, which is exactly what the recovery auditor must catch."""
-        replica = self.replica
-        store = replica.store
-        rt = replica.runtime
-        observing = rt.observing
-        start_cid = -1
-        checkpoint = store.read_cell(self.SNAPSHOT)
-        if checkpoint is not None:
-            start_cid, snapshot = checkpoint
+            self.executed_cid, snapshot = checkpoint
             self.app.install_snapshot(snapshot)
-            self.executed_cid = start_cid
-        replayed: list[tuple[int, str]] = []
-        for payload in store.read_log(self.LOG):
-            if isinstance(payload, tuple) and payload[0] == self.RESUME:
-                continue
+        start_cid = self.executed_cid
+
+        def adopt(payload: tuple) -> int | None:
+            if self._is_marker(payload):
+                return None
             cid, batch = payload
             if cid <= start_cid:
-                continue
+                return None  # the snapshot already covers it
             self.app.execute_batch(batch)
             self.executed_cid = cid
-            if observing:
-                replayed.append(
-                    (cid, batch_digest(batch).hex()))
-        self.last_recovery = {
-            "replayed": replayed, "verified": 0, "truncated": 0,
-            "snapshot_rejected": False, "fallback": False,
-        }
+            replay.evidence(cid, batch_digest, batch)
+            return cid
+
+        replay.replay(self.LOG, adopt, self._links, cid=start_cid)
+        replay.finish(self.executed_cid)
         return self.executed_cid
+
+    def _is_marker(self, payload: Any) -> bool:
+        return isinstance(payload, tuple) and payload[0] == self.RESUME
+
+    def _links(self, previous: tuple | None, payload: tuple) -> str:
+        """Consensus ids are contiguous; a ``RESUME`` marker links only when
+        it resumes from the state the replay has reached — past any other
+        one lies state no local snapshot covers."""
+        if self._is_marker(payload):
+            return LINKED if payload[1] == self.executed_cid else DETACHED
+        if previous is not None:
+            marker = self._is_marker(previous)
+            if payload[0] != previous[1 if marker else 0] + 1:
+                return "cid-gap"
+        return LINKED
 
     def on_crash(self) -> None:
+        super().on_crash()
         self._pending_group.clear()
         self._sync_in_flight = False
         self.executed_cid = -1
-        if self._flusher is not None:
-            self._flusher.stop()
 
     # ------------------------------------------------------------------
     # Helpers

@@ -66,6 +66,17 @@ class Synchronizer:
         #: regency -> leader-change timeout in effect when it was installed.
         self.timeout_history: dict[int, float] = {}
 
+    def metrics(self) -> dict:
+        """Leader changes, watchdog fires and the (possibly backed-off)
+        timeout each regency was installed with — keyed by regency number
+        as a string so the dict survives ``json.dumps``."""
+        return {
+            "regency_changes": self.regency_changes,
+            "watchdog_fires": self.watchdog_fires,
+            "regency_timeouts": {str(regency): timeout for regency, timeout
+                                 in self.timeout_history.items()},
+        }
+
     # ------------------------------------------------------------------
     # Timeout policy
     # ------------------------------------------------------------------

@@ -809,19 +809,14 @@ class ModSmartReplica:
                         local_cid=recovered)
         rt = self.runtime
         if rt.observing:
-            fields = dict(
-                local_cid=recovered,
-                height=getattr(getattr(self.delivery, "chain", None),
-                               "height", -1))
-            info = getattr(self.delivery, "last_recovery", None)
+            fields = dict(local_cid=recovered, height=self.delivery.height)
+            info = self.delivery.recovery.last
             if info is not None:
-                # Replay evidence for the recovery auditor: the (cid,
-                # recomputed batch hash) pairs of the replayed prefix.
-                fields.update(
-                    replayed=[[cid, digest]
-                              for cid, digest in info.get("replayed", ())],
-                    verified=info.get("verified", 0),
-                    truncated=info.get("truncated", 0))
+                # Replay evidence for the recovery auditor: the [cid,
+                # recomputed batch hash] pairs of the replayed prefix.
+                fields.update(replayed=info["replayed"],
+                              verified=info["verified"],
+                              truncated=info["truncated"])
             rt.notify("recovering", **fields)
 
         def done(target_cid: int) -> None:
@@ -830,10 +825,8 @@ class ModSmartReplica:
             self.trace.emit(self.sim.now, "recovered", replica=self.id,
                             cid=target_cid)
             if rt.observing:
-                rt.notify(
-                    "recover", cid=target_cid,
-                    height=getattr(getattr(self.delivery, "chain", None),
-                                   "height", -1))
+                rt.notify("recover", cid=target_cid,
+                          height=self.delivery.height)
             if on_ready is not None:
                 on_ready()
 

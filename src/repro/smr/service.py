@@ -18,7 +18,10 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Any
 
+from repro.config import StorageMode
+from repro.smr.recovery import RecoveryStats, Replay
 from repro.smr.requests import ClientRequest, Decision
+from repro.storage.stable import AsyncFlusher
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.smr.replica import ModSmartReplica
@@ -78,14 +81,35 @@ class DeliveryLayer(abc.ABC):
     """Receives decisions in cid order; owns execution, durability, replies."""
 
     replica: "ModSmartReplica"
+    #: How the layer writes its log (durable layers set it per instance).
+    storage = StorageMode.MEMORY
+    #: Background flusher of ``ASYNC`` storage (λ-Persistence).
+    _flusher: AsyncFlusher | None = None
+    #: Tallies and last report of this layer's local recoveries.
+    recovery: RecoveryStats
 
     def attach(self, replica: "ModSmartReplica") -> None:
         self.replica = replica
+        self.recovery = RecoveryStats()
+        if self.storage is StorageMode.ASYNC:
+            self._flusher = AsyncFlusher(
+                replica.store, replica.config.async_flush_interval)
+            self._flusher.start()
 
     @property
     def backlog(self) -> int:
         """Decisions delivered but not yet fully processed (flow control)."""
         return 0
+
+    @property
+    def height(self) -> int:
+        """Height of the chain this layer keeps (−1: it keeps none)."""
+        return -1
+
+    def metrics(self) -> dict[str, Any]:
+        """The layer's own progress figures (blocks, certificates, group
+        commits ...) as this replica saw them, for the run's metrics."""
+        return {}
 
     @abc.abstractmethod
     def on_decide(self, decision: Decision) -> None:
@@ -136,10 +160,21 @@ class DeliveryLayer(abc.ABC):
     # -- Crash/recovery hooks -------------------------------------------
     def on_crash(self) -> None:
         """Volatile cleanup when the replica crashes."""
+        if self._flusher is not None:
+            self._flusher.stop()
+
+    def begin_recovery(self) -> Replay:
+        """Restart background flushing and open the verified replay a
+        durable layer's :meth:`recover_local` runs its log through."""
+        if self._flusher is not None:
+            self._flusher.start()
+        return Replay(self.replica, self.recovery)
 
     def recover_local(self) -> int:
         """Restore from local stable storage; returns last recovered cid
-        (−1 when nothing survives)."""
+        (−1 when nothing survives).  Durable layers run the shared
+        verified replay (:class:`repro.smr.recovery.Replay`) over their
+        log and supply only its linkage predicate and apply step."""
         return -1
 
 
@@ -179,6 +214,7 @@ class SequentialDelivery(DeliveryLayer):
         raise NotImplementedError
 
     def on_crash(self) -> None:
+        super().on_crash()
         self._queue.clear()
         self._busy = False
 

@@ -174,6 +174,17 @@ class StableStore:
         #: encoder rejected them (see :func:`_fingerprint`).
         self.repr_checksums = 0
 
+    def metrics(self) -> dict[str, int]:
+        """Storage health: checksum mismatches caught, gray windows opened
+        on the device, and records the canonical encoder rejected (hashed
+        by ``repr`` on every replica: checkpoints legitimately, anything on
+        the delivery path by accident)."""
+        return {
+            "storage.bitrot_detected": self.bitrot_detected,
+            "storage.gray_periods": self.disk.gray_periods,
+            "storage.repr_checksums": self.repr_checksums,
+        }
+
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------

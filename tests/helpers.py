@@ -13,7 +13,7 @@ from repro.config import (
     StorageMode,
     VerificationMode,
 )
-from repro.core.node import Consortium, bootstrap
+from repro.core.node import ReplicaGroup, bootstrap
 from repro.crypto.keys import KeyRegistry
 from repro.net.network import Network
 from repro.sim.engine import Simulator
@@ -71,7 +71,7 @@ def make_consortium(
     trace: TraceLog | None = None,
     policy=None,
     engine: str | None = None,
-) -> Consortium:
+) -> ReplicaGroup:
     """A small SmartChain consortium running SMaRtCoin."""
     sim = Simulator(seed)
     config = SmartChainConfig(
@@ -85,7 +85,7 @@ def make_consortium(
                      config, trace=trace, policy=policy, engine=engine)
 
 
-def attach_station(consortium: Consortium, station_id: int = 900,
+def attach_station(consortium: ReplicaGroup, station_id: int = 900,
                    send_window: float = 0.0005) -> ClientStation:
     holder = [consortium.genesis.view]
     for node in consortium.nodes.values():
@@ -109,7 +109,7 @@ def mint_ops_simple(count: int, address: str = MINTER):
                      reply_size=270)
 
 
-def run_coin_traffic(consortium: Consortium, txs: int = 40,
+def run_coin_traffic(consortium: ReplicaGroup, txs: int = 40,
                      until: float = 20.0, station_id: int = 900):
     """Drive ``txs`` MINTs through a consortium and run the sim."""
     station = attach_station(consortium, station_id)

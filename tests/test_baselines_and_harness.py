@@ -1,11 +1,9 @@
 """Baseline comparators, workload generators and harness smoke tests."""
 
-import pytest
-
 from repro.apps.smartcoin import SmartCoin, Wallet
 from repro.baselines.fabric import FabricCluster, FabricConfig
 from repro.baselines.tendermint import TendermintCluster, TendermintConfig
-from repro.bench.harness import Scenario, run, run_smartchain
+from repro.bench.harness import Scenario, run
 from repro.clients.client import Client, ClientStation
 from repro.config import CostModel, PersistenceVariant, VerificationMode
 from repro.net.network import Network
@@ -163,17 +161,6 @@ class TestHarness:
                               duration=1.0, seed=155))
         row = result.row()
         assert "tx/s" in row and "ms" in row
-
-    def test_seed_era_wrappers_deprecated_but_working(self):
-        """The run_* entry points still work (byte-identical Scenario
-        construction) but announce their deprecation."""
-        with pytest.warns(DeprecationWarning, match="run_smartchain"):
-            wrapped = run_smartchain(PersistenceVariant.WEAK, clients=100,
-                                     duration=1.0, seed=155)
-        direct = run(Scenario(variant=PersistenceVariant.WEAK, clients=100,
-                              duration=1.0, seed=155))
-        assert wrapped.throughput == direct.throughput
-        assert wrapped.completed == direct.completed
 
 
 class TestCalibration:

@@ -5,13 +5,7 @@ import json
 
 import pytest
 
-from repro.bench.harness import (
-    DEFAULT_WARMUP,
-    Scenario,
-    run,
-    run_smartchain,
-)
-from repro.config import PersistenceVariant
+from repro.bench.harness import DEFAULT_WARMUP, Scenario, run
 from repro.obs import PHASES, MetricsRegistry, Observability, PipelineTracer
 from repro.obs.report import validate_bench_report, validate_report
 from repro.sim.engine import Simulator
@@ -175,17 +169,6 @@ class TestObservedRun:
 
 
 class TestScenarioAPI:
-    def test_wrapper_seed_identical_to_scenario(self):
-        with pytest.warns(DeprecationWarning):
-            wrapped = run_smartchain(PersistenceVariant.WEAK, clients=200,
-                                     duration=1.5, seed=42)
-        direct = run(Scenario(system="smartchain",
-                              variant=PersistenceVariant.WEAK,
-                              clients=200, duration=1.5, seed=42))
-        assert wrapped.throughput == direct.throughput
-        assert wrapped.completed == direct.completed
-        assert wrapped.latency_mean == direct.latency_mean
-
     def test_observability_does_not_perturb_results(self):
         plain = run(Scenario(system="dura", clients=200, duration=1.5,
                              seed=43))

@@ -2,7 +2,7 @@
 
 Covers the three layers of the sharding stack:
 
-- core: the :class:`ReplicaGroup` extraction (``Consortium`` alias), the
+- core: the :class:`ReplicaGroup` extraction, the
   shard identity scheme, and single-group equivalence — a ``shards=1``
   deployment through :func:`bootstrap_shards` behaves identically to the
   classic :func:`bootstrap` path;
@@ -19,7 +19,6 @@ import pytest
 from repro.bench.harness import Scenario, run
 from repro.core import (
     SHARD_STRIDE,
-    Consortium,
     ReplicaGroup,
     bootstrap_shards,
     shard_of_node,
@@ -37,8 +36,16 @@ def _sharded_result(shards=2, fraction=0.2, clients=200, duration=2.0,
 
 
 class TestReplicaGroupExtraction:
-    def test_consortium_is_replica_group_alias(self):
-        assert Consortium is ReplicaGroup
+    def test_classic_bootstrap_is_the_shard_zero_group(self):
+        from repro.apps.smartcoin import SmartCoin
+        from repro.config import SmartChainConfig
+        from repro.core import bootstrap
+        from repro.sim.engine import Simulator
+
+        group = bootstrap(Simulator(seed=1), (0, 1, 2, 3), SmartCoin,
+                          SmartChainConfig())
+        assert isinstance(group, ReplicaGroup)
+        assert (group.shard, group.base_id) == (0, 0)
 
     def test_shard_identity_scheme(self):
         assert shard_of_node(0) == 0
