@@ -9,12 +9,19 @@ is a *negative control*: the fault plan must trip the auditor, or the
 positive rows beside it pass for free.  ``tests/test_ci_smoke.py`` checks
 the table still holds every engine x plan x exit-code combination CI ran
 before it was a table.
+
+``python scripts/ci_smoke.py ceilings RESULT.json`` is the one row that
+runs nothing: it holds the result file ``benchmarks/e2e/run.py --out`` wrote
+(the ``e2e-smoke`` job's ``e2e-smartchain.json``) to the host-metric
+ceilings committed in ``benchmarks/results/BENCH_e2e_ceilings.json``.
 """
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
+from pathlib import Path
 from typing import NamedTuple
 
 BOTH = ("modsmart", "fastbft")
@@ -120,9 +127,36 @@ def commands(job: str) -> list[tuple[tuple[str, ...], int]]:
     return out
 
 
+#: workload -> end-to-end metric -> {"ceiling": ...}: host metrics that
+#: repeat tightly enough between runs and machines of one Python version to
+#: gate (peak RSS: +-0.3%), each at its measured median plus a margin.
+CEILINGS = (Path(__file__).resolve().parents[1]
+            / "benchmarks" / "results" / "BENCH_e2e_ceilings.json")
+
+
+def over_ceiling(result: dict, ceilings: dict) -> list[str]:
+    """One line per committed ceiling the e2e result document exceeds (or
+    does not report at all)."""
+    problems = []
+    for workload, metrics in ceilings["workloads"].items():
+        measured = result["workloads"].get(workload, {}).get("end_to_end", {})
+        for metric, bound in metrics.items():
+            value = measured.get(metric, {}).get("value")
+            if value is None or value > bound["ceiling"]:
+                problems.append(f"{workload} {metric}: {value} exceeds the "
+                                f"ceiling {bound['ceiling']}")
+    return problems
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "ceilings":
+        problems = over_ceiling(json.loads(Path(argv[1]).read_text()),
+                                json.loads(CEILINGS.read_text()))
+        print("\n".join(problems) or "under every ceiling", file=sys.stderr)
+        return 1 if problems else 0
     if len(argv) != 1 or argv[0] not in JOBS:
-        print(f"usage: ci_smoke.py {{{','.join(JOBS)}}}", file=sys.stderr)
+        print(f"usage: ci_smoke.py {{{','.join(JOBS)}}} | ceilings RESULT.json",
+              file=sys.stderr)
         return 64
     for args, expect in commands(argv[0]):
         print(f"=== repro.bench {' '.join(args)}  (expect exit {expect})",

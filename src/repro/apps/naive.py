@@ -56,8 +56,8 @@ class NaiveBlockchainDelivery(SequentialDelivery):
 
     def _apply(self, decision: Decision, done) -> None:
         replica = self.replica
-        results = self.app.execute_batch(decision.batch)
-        block = self._build_block(decision, results)
+        results, rows = self.app.execute_rows(decision.batch)
+        block = self._build_block(decision, rows)
         self.chain.append(block)
         self.blocks_built += 1
         self.executed_cid = decision.cid
@@ -87,11 +87,12 @@ class NaiveBlockchainDelivery(SequentialDelivery):
         replica.note_executed(decision)
         done()
 
-    def _build_block(self, decision: Decision, results: dict) -> dict:
+    def _build_block(self, decision: Decision, rows: tuple) -> dict:
         payload = [(req.client_id, req.req_id, req.op_repr)
                    for req in decision.batch]
-        result_list = [(key[0], key[1], repr(value[0]))
-                       for key, value in results.items()]
+        # This layer records no result digests: the rows' first three
+        # fields, sharing their ``repr(result)`` strings.
+        result_list = [row[:3] for row in rows]
         # The content-addressed memo dedupes the n identical per-replica
         # block builds (and, in the store, their checksums).
         header_hash = hash_obj_cached(

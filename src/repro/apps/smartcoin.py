@@ -64,8 +64,10 @@ BYTES_PER_COIN = 128
 #: final string (not just the digest) can be shared across the n replicas
 #: that each derive it.  Keys are (client_id, req_id, index) ints.
 _coin_ids = hashing.Memo()
-#: Execution-result digest memo, keyed (client_id, req_id, result value).
-_result_digests = hashing.Memo()
+#: Result-row memo, keyed (client_id, req_id, result value): the block row
+#: ``(client_id, req_id, repr(result), digest)``, born with the digest it
+#: ends in and handed to every replica that derives the same result.
+_result_rows = hashing.Memo()
 _COUNTERS = hashing.CACHE_COUNTERS
 
 
@@ -115,6 +117,22 @@ class SmartCoin(Application):
     # Execution
     # ------------------------------------------------------------------
     def execute(self, request: ClientRequest) -> ExecutionResult:
+        result, row = self._execute(request)
+        return result, row[3]
+
+    def execute_rows(self, batch: list[ClientRequest]
+                     ) -> tuple[dict, tuple[tuple, ...]]:
+        results: dict = {}
+        rows: dict = {}
+        for request in batch:
+            result, row = self._execute(request)
+            key = request.key
+            results[key] = (result, row[3])
+            rows[key] = row
+        return results, tuple(rows.values())
+
+    def _execute(self, request: ClientRequest) -> tuple[Any, tuple]:
+        """Apply one operation; returns (result, its result row)."""
         op = request.op
         kind = op[0]
         if kind == "mint":
@@ -129,17 +147,20 @@ class SmartCoin(Application):
             result = self.balance(op[1])
         else:
             result = ("error", f"unknown transaction type {kind!r}")
-        # Memoized like coin_id: every replica produces this exact digest.
+        # Memoized like coin_id: every replica produces this exact row.
         # The memo key is the result *value* (cheaper to hash than to
-        # repr), so a divergent replica still gets a different digest for
-        # the same request; the digest bytes still cover repr(result).
-        key = (request.client_id, request.req_id, result)
-        digest = _result_digests.get(key)
-        if digest is None:
-            return result, _result_digests.add(key, hash_obj(
-                ("sc", request.client_id, request.req_id, repr(result))))
+        # repr), so a divergent replica still gets a different row for the
+        # same request; the digest bytes still cover repr(result).
+        client_id, req_id = request.client_id, request.req_id
+        key = (client_id, req_id, result)
+        row = _result_rows.get(key)
+        if row is None:
+            text = repr(result)
+            return result, _result_rows.add(key, (
+                client_id, req_id, text,
+                hash_obj(("sc", client_id, req_id, text))))
         _COUNTERS["digest_cache_hits"] += 1
-        return result, digest
+        return result, row
 
     def conflict_keys(self, request: ClientRequest):
         """UTXO footprints for the parallel-execution scheduler.
@@ -212,7 +233,7 @@ class SmartCoin(Application):
             if owner != issuer:
                 self.rejected += 1
                 return ("error", f"coin {cid} is not owned by the issuer")
-            recipient, amount = outputs[0]
+            _recipient, amount = outputs[0]
             if amount != value:
                 self.rejected += 1
                 return ("error", "inputs and outputs do not balance")
@@ -221,7 +242,9 @@ class SmartCoin(Application):
                 return ("error", "output amounts must be positive")
             del coins[cid]
             new_cid = coin_id(request.client_id, request.req_id, 0)
-            coins[new_cid] = (recipient, amount)
+            # The op's own (recipient, amount) pair: one tuple for all n
+            # replicas' coin maps instead of an equal one each.
+            coins[new_cid] = outputs[0]
             self.spent_total += value
             return ("spent", (new_cid,))
         total_in = 0
@@ -253,9 +276,9 @@ class SmartCoin(Application):
             del coins[cid]
         client_id, req_id = request.client_id, request.req_id
         created = []
-        for index, (recipient, amount) in enumerate(outputs):
+        for index, output in enumerate(outputs):
             cid = coin_id(client_id, req_id, index)
-            coins[cid] = (recipient, amount)
+            coins[cid] = output
             created.append(cid)
         self.spent_total += total_in
         return ("spent", tuple(created))

@@ -310,7 +310,7 @@ class FastBftEngine(ConsensusEngine):
             return
         if msg.regency != replica.regency:
             return
-        unseen = [r for r in msg.batch if r.key not in replica.seen]
+        unseen = [r for r in msg.batch if r.key not in replica.admitted]
         if unseen:
             replica.ingest_requests(unseen)
         instance = self._instance(msg.cid)

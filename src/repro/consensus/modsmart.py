@@ -230,7 +230,7 @@ class ModSmartEngine(ConsensusEngine):
         if msg.regency != replica.regency:
             return
         # Adopt requests we have not seen from stations yet (and verify them).
-        unseen = [r for r in msg.batch if r.key not in replica.seen]
+        unseen = [r for r in msg.batch if r.key not in replica.admitted]
         if unseen:
             replica.ingest_requests(unseen)
         instance = self._instance(msg.cid)

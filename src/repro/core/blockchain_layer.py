@@ -32,7 +32,7 @@ while the system keeps processing new blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.config import PersistenceVariant, SmartChainConfig, StorageMode
 from repro.crypto.hashing import hash_obj
@@ -44,7 +44,6 @@ from repro.ledger.block import (
     BlockHeader,
     Certificate,
     KeyAnnouncement,
-    TxRecord,
 )
 from repro.ledger.chain import Blockchain
 from repro.ledger.genesis import GenesisBlock
@@ -57,12 +56,13 @@ from repro.smr.views import View
 __all__ = ["SmartChainDelivery", "ReconfigOutcome", "CheckpointInfo"]
 
 
-def _decided_batch_hash(transactions: list[TxRecord]) -> bytes:
+def _decided_batch_hash(transactions: Sequence[tuple]) -> bytes:
     """The batch hash the ``decide`` events carried, recomputed from a
-    block's transaction records (:func:`repro.smr.requests.batch_digest`
+    block's transaction rows (:func:`repro.smr.requests.batch_digest`
     over the requests' canonical forms)."""
-    return hash_obj([("req", t.client_id, t.req_id, t.special, repr(t.op))
-                     for t in transactions])
+    return hash_obj([("req", client_id, req_id, special, repr(op))
+                     for _tx, client_id, req_id, op, _size, special
+                     in transactions])
 
 
 class ReconfigOutcome:
@@ -220,39 +220,69 @@ class SmartChainDelivery(SequentialDelivery):
     CATCHUP_LAG = 20
 
     def process(self, decision: Decision, done) -> None:
-        if decision.batch and decision.batch[0].special:
-            self._process_special(decision, done)
-            return
-        lag = self.replica.last_decided - decision.cid
-        if lag > self.CATCHUP_LAG:
-            self._process_catchup(decision, done)
-        else:
-            self._process_regular(decision, done)
-
-    def _process_catchup(self, decision: Decision, done) -> None:
-        """Fast-replay a stale decision: the rest of the group already
-        certified and answered it; this replica only needs the state and
-        the block."""
         replica = self.replica
         number = self.chain.height + 1
-        tx_records = [self._tx_record(r) for r in decision.batch]
+        # The requests' own rows: every replica chains and logs these same
+        # tuples, and the record's checksum and the header's
+        # ``hash_transactions`` share one Merkle tree over them.
+        txs = tuple([r.tx_row() for r in decision.batch])
+        # Line 18: the batch (plus its consensus proof) goes to the chain
+        # file as soon as it is decided — the disk works in parallel with
+        # execution.
         body_bytes = decision.payload_bytes() + 64 + 72 * len(decision.proof)
-        self._log_transactions(number, decision, tx_records, body_bytes)
-        work = (len(decision.batch) * replica.costs.replay_time_per_tx
-                + replica.costs.batch_overhead)
-        replica.charge_sm(work, self._apply_catchup, decision, tx_records,
-                          number, done)
+        if self.storage is not StorageMode.MEMORY:
+            replica.store.append(
+                self.LOG, ("txs", number, decision.cid, txs,
+                           decision.batch_hash), body_bytes)
+        costs = replica.costs
+        special = bool(decision.batch and decision.batch[0].special)
+        if special and self.reconfig_handler is not None:
+            work = costs.block_build_overhead + costs.batch_overhead
+            replica.charge_sm(work, self._apply_special, decision, txs,
+                              number, done)
+        elif (not special
+                and replica.last_decided - decision.cid > self.CATCHUP_LAG):
+            # Fast-replay a stale decision: the rest of the group already
+            # certified and answered it; this replica only needs the state
+            # and the block.
+            work = (len(decision.batch) * costs.replay_time_per_tx
+                    + costs.batch_overhead)
+            replica.charge_sm(work, self._apply_catchup, decision, txs,
+                              number, done)
+        elif scheduler.parallel_execution(replica, self.app):
+            # Per-transaction work runs on the exec pool; block building
+            # and body hashing stay on the SM thread.
+            serial = (costs.batch_overhead + costs.block_build_overhead
+                      + costs.crypto.hash_time_per_kb * (body_bytes / 1024))
+            scheduler.charge_execution(replica, self.app, decision.batch,
+                                       serial, self._executed, decision,
+                                       txs, number, done)
+        else:
+            work = replica.execution_cost(decision.batch)
+            work += costs.block_build_overhead
+            work += costs.crypto.hash_time_per_kb * (body_bytes / 1024)
+            replica.charge_sm(work, self._executed, decision, txs, number,
+                              done)
 
-    def _apply_catchup(self, decision: Decision, tx_records, number,
-                       done) -> None:
-        replica = self.replica
-        results_map = self.app.execute_batch(decision.batch)
+    def _build_body(self, number: int, decision: Decision, txs: tuple,
+                    results: tuple, **reconfig: Any) -> BlockBody:
+        """Line 20: the block body over the decided transactions and their
+        results, the results appended to the chain file.  Body and records
+        hold the same row tuples (see docs/performance.md, Contract 3)."""
         self.executed_cid = decision.cid
-        result_records = [(key[0], key[1], repr(value[0]), value[1])
-                          for key, value in results_map.items()]
-        body = BlockBody(consensus_id=decision.cid, transactions=tx_records,
-                         results=result_records,
-                         batch_hash=decision.batch_hash)
+        if self.storage is not StorageMode.MEMORY:
+            self.replica.store.append(
+                self.LOG, ("results", number, results),
+                sum(len(r[2]) + 48 for r in results))
+        return BlockBody(consensus_id=decision.cid, transactions=txs,
+                         results=results, batch_hash=decision.batch_hash,
+                         **reconfig)
+
+    def _append_block(self, number: int, body: BlockBody,
+                      decision: Decision) -> Block:
+        """Line 21: close the block with its header, chain it, log the
+        header."""
+        replica = self.replica
         header = BlockHeader(
             number=number,
             last_reconfig=self.last_reconfig,
@@ -272,13 +302,18 @@ class SmartChainDelivery(SequentialDelivery):
                       digest=block.digest().hex(), view=header.view_id)
         if self.storage is not StorageMode.MEMORY:
             replica.store.append(
-                self.LOG, ("results", number, tuple(result_records)),
-                sum(len(r[2]) + 48 for r in result_records))
-            replica.store.append(
                 self.LOG,
                 ("header", number, header.to_record(),
                  self._proof_record(decision)),
                 BlockHeader.WIRE_SIZE + 72 * len(decision.proof))
+        return block
+
+    def _apply_catchup(self, decision: Decision, txs: tuple, number: int,
+                       done) -> None:
+        replica = self.replica
+        _results, rows = self.app.execute_rows(decision.batch)
+        block = self._append_block(
+            number, self._build_body(number, decision, txs, rows), decision)
         replica.note_executed(decision)
         # Certificate from already-buffered PERSIST votes, if any; no wait.
         if (self.variant is PersistenceVariant.STRONG
@@ -296,6 +331,7 @@ class SmartChainDelivery(SequentialDelivery):
                 block.certificate = certificate
                 self.certs_completed += 1
                 self._count("chain.certs_completed")
+                rt = replica.runtime
                 if rt.observing:
                     rt.notify("persist-certificate", block=number,
                               digest=digest.hex(), view=replica.cv.view_id,
@@ -312,52 +348,14 @@ class SmartChainDelivery(SequentialDelivery):
                 replica.sim.call_soon(self.repersist_missing)
         self._maybe_checkpoint(number, done)
 
-    def _process_regular(self, decision: Decision, done) -> None:
+    def _executed(self, decision: Decision, txs: tuple, number: int,
+                  done) -> None:
         replica = self.replica
-        costs = replica.costs
-        number = self.chain.height + 1
-        tx_records = [self._tx_record(r) for r in decision.batch]
-        # Line 18: the batch (plus its consensus proof) goes to the chain
-        # file immediately — the disk works in parallel with execution.
-        body_bytes = decision.payload_bytes() + 64 + 72 * len(decision.proof)
-        self._log_transactions(number, decision, tx_records, body_bytes)
-        if scheduler.parallel_execution(replica, self.app):
-            # Per-transaction work runs on the exec pool; block building
-            # and body hashing stay on the SM thread.
-            serial = (costs.batch_overhead + costs.block_build_overhead
-                      + costs.crypto.hash_time_per_kb * (body_bytes / 1024))
-            scheduler.charge_execution(replica, self.app, decision.batch,
-                                       serial, self._executed, decision,
-                                       tx_records, number, done)
-            return
-        work = replica.execution_cost(decision.batch)
-        work += costs.block_build_overhead
-        work += costs.crypto.hash_time_per_kb * (body_bytes / 1024)
-        replica.charge_sm(work, self._executed, decision, tx_records, number,
-                          done)
-
-    def _executed(self, decision: Decision, tx_records: list[TxRecord],
-                  number: int, done) -> None:
-        replica = self.replica
-        results_map = self.app.execute_batch(decision.batch)
-        self.executed_cid = decision.cid
+        results_map, rows = self.app.execute_rows(decision.batch)
         obs = replica.sim.obs
         if obs.trace_pipeline:
             obs.trace_cid(replica.id, decision.cid, "execute", replica.sim.now)
-        result_records = [
-            (key[0], key[1], repr(value[0]), value[1])
-            for key, value in results_map.items()
-        ]
-        body = BlockBody(
-            consensus_id=decision.cid,
-            transactions=tx_records,
-            results=result_records,
-            batch_hash=decision.batch_hash,
-        )
-        if self.storage is not StorageMode.MEMORY:
-            replica.store.append(
-                self.LOG, ("results", number, tuple(result_records)),
-                sum(len(r[2]) + 48 for r in result_records))
+        body = self._build_body(number, decision, txs, rows)
         self._close_block(number, body, decision, results_map, done)
 
     def _close_block(self, number: int, body: BlockBody, decision: Decision,
@@ -365,29 +363,7 @@ class SmartChainDelivery(SequentialDelivery):
                      reconfig: ReconfigOutcome | None = None) -> None:
         """Lines 21, 26-29: write the header and make the block stable."""
         replica = self.replica
-        header = BlockHeader(
-            number=number,
-            last_reconfig=self.last_reconfig,
-            last_checkpoint=self.last_checkpoint,
-            view_id=replica.cv.view_id,
-            hash_transactions=body.hash_transactions(),
-            hash_results=body.hash_results(),
-            hash_last_block=self.chain.head_digest(),
-        )
-        block = Block(header, body, consensus_proof=dict(decision.proof))
-        self.chain.append(block)
-        self.blocks_built += 1
-        self._count("chain.blocks_built")
-        rt = replica.runtime
-        if rt.observing:
-            rt.notify("block-append", block=number, cid=decision.cid,
-                      digest=block.digest().hex(), view=header.view_id)
-        if self.storage is not StorageMode.MEMORY:
-            replica.store.append(
-                self.LOG,
-                ("header", number, header.to_record(),
-                 self._proof_record(decision)),
-                BlockHeader.WIRE_SIZE + 72 * len(decision.proof))
+        block = self._append_block(number, body, decision)
         if self.storage is StorageMode.SYNC:
             replica.store.sync(self._header_stable, block, decision,
                                results_map, reconfig, done)
@@ -645,21 +621,8 @@ class SmartChainDelivery(SequentialDelivery):
     # ------------------------------------------------------------------
     # Special (reconfiguration / key registration) blocks — lines 37-48
     # ------------------------------------------------------------------
-    def _process_special(self, decision: Decision, done) -> None:
-        replica = self.replica
-        if self.reconfig_handler is None:
-            self._process_regular(decision, done)
-            return
-        number = self.chain.height + 1
-        tx_records = [self._tx_record(r) for r in decision.batch]
-        body_bytes = decision.payload_bytes() + 64 + 72 * len(decision.proof)
-        self._log_transactions(number, decision, tx_records, body_bytes)
-        work = replica.costs.block_build_overhead + replica.costs.batch_overhead
-        replica.charge_sm(work, self._apply_special, decision, tx_records,
-                          number, done)
-
-    def _apply_special(self, decision: Decision, tx_records: list[TxRecord],
-                       number: int, done) -> None:
+    def _apply_special(self, decision: Decision, txs: tuple, number: int,
+                       done) -> None:
         replica = self.replica
         outcome = ReconfigOutcome(result=("error", "rejected"))
         all_announcements: list[KeyAnnouncement] = []
@@ -694,19 +657,11 @@ class SmartChainDelivery(SequentialDelivery):
             new_view_record = (outcome.new_view.view_id,
                                tuple(outcome.new_view.members),
                                tuple(sorted(outcome.permanent_updates.items())))
-        body = BlockBody(
-            consensus_id=decision.cid,
-            transactions=tx_records,
-            results=result_records,
-            batch_hash=decision.batch_hash,
+        body = self._build_body(
+            number, decision, txs, tuple(result_records),
             key_announcements=[a.to_record() for a in announcements],
-            new_view=new_view_record,
-        )
-        self.executed_cid = decision.cid
+            new_view=new_view_record)
         if self.storage is not StorageMode.MEMORY:
-            replica.store.append(
-                self.LOG, ("results", number, tuple(result_records)),
-                sum(len(r[2]) + 48 for r in result_records))
             replica.store.append(
                 self.LOG,
                 ("special", number, tuple(a.to_record() for a in announcements),
@@ -739,9 +694,10 @@ class SmartChainDelivery(SequentialDelivery):
                 self.replica.install_view(new_view)
         else:
             requests = [
-                ClientRequest(client_id=t.client_id, req_id=t.req_id,
-                              op=t.op, size=t.size, special=t.special)
-                for t in body.transactions
+                ClientRequest(client_id=client_id, req_id=req_id, op=op,
+                              size=size, special=special)
+                for _tx, client_id, req_id, op, size, special
+                in body.transactions
             ]
             if requests and not requests[0].special:
                 self.app.execute_batch(requests)
@@ -896,13 +852,10 @@ class SmartChainDelivery(SequentialDelivery):
         while number in headers and number in txs and number in results:
             header_record, proof = headers[number]
             header = BlockHeader.from_record(header_record)
-            cid, tx_records, batch_hash = txs[number]
-            body = BlockBody(
-                consensus_id=cid,
-                transactions=[TxRecord.from_canonical(t) for t in tx_records],
-                results=list(results[number][0]),
-                batch_hash=batch_hash,
-            )
+            cid, tx_rows, batch_hash = txs[number]
+            body = BlockBody(consensus_id=cid, transactions=tx_rows,
+                             results=results[number][0],
+                             batch_hash=batch_hash)
             if number in parts["special"]:
                 ann_records, new_view_record = parts["special"][number]
                 body.key_announcements = list(ann_records)
@@ -1025,25 +978,6 @@ class SmartChainDelivery(SequentialDelivery):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _log_transactions(self, number: int, decision: Decision,
-                          tx_records: list[TxRecord], nbytes: int) -> None:
-        """Line 18: the batch goes to the chain file as soon as it is
-        decided.  The rows are the transactions' canonical forms — the
-        leaves of the header's ``hash_transactions`` — so the record's
-        checksum and the header share one Merkle tree."""
-        if self.storage is not StorageMode.MEMORY:
-            self.replica.store.append(
-                self.LOG, ("txs", number, decision.cid,
-                           tuple(t.to_canonical() for t in tx_records),
-                           decision.batch_hash),
-                nbytes)
-
-    @staticmethod
-    def _tx_record(request: ClientRequest) -> TxRecord:
-        return TxRecord(client_id=request.client_id, req_id=request.req_id,
-                        op=request.op, size=request.size,
-                        special=request.special)
-
     @staticmethod
     def _proof_record(decision: Decision) -> tuple:
         return tuple(sorted((rid, s.signer, s.value)

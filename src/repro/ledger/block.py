@@ -18,7 +18,8 @@ shares no objects with the replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from operator import itemgetter
+from typing import Any, Sequence
 
 from repro.crypto import hashing
 from repro.crypto.hashing import hash_obj
@@ -36,37 +37,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TxRecord:
-    """A transaction as stored in a block body.
+class TxRecord(tuple):
+    """Named view of a transaction row.
 
+    A transaction has one stored spelling: its canonical row ``("tx",
+    client_id, req_id, op, size, special)`` — what a block body, a logged
+    ``txs`` record and the transaction Merkle tree hold, and what the
+    request carries (:meth:`repro.smr.requests.ClientRequest.tx_row`).
     ``op`` is the application payload itself (tuples of primitives), so a
     recovering replica can re-execute logged transactions, and an auditor
-    can inspect them.
+    can inspect them.  A ``TxRecord`` *is* such a row (equal to it, hashed
+    like it) with the fields named, for a reader or for writing a row by
+    hand; the replicas themselves chain plain tuples.
     """
 
-    client_id: int
-    req_id: int
-    op: Any
-    size: int
-    special: str = ""
+    __slots__ = ()
 
-    def to_record(self) -> tuple:
-        return (self.client_id, self.req_id, self.op, self.size, self.special)
+    def __new__(cls, client_id: int, req_id: int, op: Any, size: int,
+                special: str = "") -> "TxRecord":
+        return super().__new__(
+            cls, ("tx", client_id, req_id, op, size, special))
 
-    @classmethod
-    def from_record(cls, record: tuple) -> "TxRecord":
-        return cls(*record)
+    client_id = property(itemgetter(1))
+    req_id = property(itemgetter(2))
+    op = property(itemgetter(3))
+    size = property(itemgetter(4))
+    special = property(itemgetter(5))
 
     def to_canonical(self) -> tuple:
-        return ("tx", self.client_id, self.req_id, self.op, self.size,
-                self.special)
+        return tuple(self)
 
     @classmethod
-    def from_canonical(cls, canonical: tuple) -> "TxRecord":
-        """Inverse of :meth:`to_canonical` (the rows of a logged ``txs``
-        record are canonical forms, i.e. Merkle leaves)."""
-        return cls(*canonical[1:])
+    def from_canonical(cls, row: tuple) -> "TxRecord":
+        return cls(*row[1:])
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,12 @@ class BlockBody:
     """Ordered transactions and their results for one consensus instance."""
 
     consensus_id: int
-    transactions: list[TxRecord]
-    results: list[tuple]          # (client_id, req_id, result_repr, digest)
+    #: Canonical rows (see :class:`TxRecord`) and ``(client_id, req_id,
+    #: result_repr, digest)`` rows.  A replica's live chain holds the very
+    #: tuples it logged — rows its peers share (docs/performance.md,
+    #: Contract 3); a body parsed from a record holds lists.
+    transactions: Sequence[tuple]
+    results: Sequence[tuple]
     #: The batch hash the consensus instance decided on (what the decision
     #: proof's ACCEPT signatures cover) — lets a third party check the proof.
     batch_hash: bytes = b""
@@ -138,7 +145,7 @@ class BlockBody:
     def hash_transactions(self) -> bytes:
         """Merkle root over the transactions (footnote 4 of the paper): a
         light client can check one transaction against the header."""
-        return merkle_root([tx.to_canonical() for tx in self.transactions])
+        return merkle_root(self.transactions)
 
     def hash_results(self) -> bytes:
         """Merkle root over the execution results."""
@@ -149,21 +156,21 @@ class BlockBody:
         ``hash_transactions`` root.  Proofs of one body share one tree
         (:func:`merkle_tree`), keyed by content so an edited body gets its
         own."""
-        return merkle_tree(
-            [tx.to_canonical() for tx in self.transactions]).proof(index)
+        return merkle_tree(self.transactions).proof(index)
 
     def result_proof(self, index: int):
         """Membership proof of result ``index`` against ``hash_results``."""
         return merkle_tree(self.results).proof(index)
 
     def payload_bytes(self) -> int:
-        tx_bytes = sum(tx.size for tx in self.transactions)
+        tx_bytes = sum(size for _tx, _client, _req, _op, size, _special
+                       in self.transactions)
         result_bytes = sum(len(r[2]) + 48 for r in self.results)
         return tx_bytes + result_bytes + 96 * len(self.key_announcements) + 64
 
     def to_record(self) -> tuple:
         return (self.consensus_id,
-                tuple(tx.to_record() for tx in self.transactions),
+                tuple(self.transactions),
                 tuple(self.results),
                 self.batch_hash,
                 tuple(self.key_announcements),
@@ -172,8 +179,8 @@ class BlockBody:
     @classmethod
     def from_record(cls, record: tuple) -> "BlockBody":
         cid, txs, results, batch_hash, announcements, new_view = record
-        return cls(cid, [TxRecord.from_record(t) for t in txs],
-                   list(results), batch_hash, list(announcements), new_view)
+        return cls(cid, list(txs), list(results), batch_hash,
+                   list(announcements), new_view)
 
 
 @dataclass(frozen=True)

@@ -271,16 +271,16 @@ class ChainVerifier:
     # Light-client inclusion proofs
     # ------------------------------------------------------------------
     @staticmethod
-    def verify_inclusion(header, tx_record, proof) -> bool:
-        """Light-client check: is ``tx_record`` committed by ``header``?
+    def verify_inclusion(header, tx_row, proof) -> bool:
+        """Light-client check: is the transaction row ``tx_row`` (an element
+        of ``BlockBody.transactions``) committed by ``header``?
 
         ``proof`` is a Merkle path from :meth:`BlockBody.transaction_proof`;
         the caller must already trust the header (e.g. via a verified chain
         walk or a certificate check).
         """
         from repro.crypto.merkle import MerkleTree
-        return MerkleTree.verify(header.hash_transactions,
-                                 tx_record.to_canonical(), proof)
+        return MerkleTree.verify(header.hash_transactions, tx_row, proof)
 
     @staticmethod
     def verify_result_inclusion(header, result_record, proof) -> bool:

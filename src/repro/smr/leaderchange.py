@@ -367,7 +367,7 @@ class Synchronizer:
         adopted = False
         if msg.batch is not None and msg.cid == replica.last_decided + 1:
             # Adopt the re-proposal as if it were a PROPOSE from the leader.
-            unseen = [r for r in msg.batch if r.key not in replica.seen]
+            unseen = [r for r in msg.batch if r.key not in replica.admitted]
             if unseen:
                 replica.ingest_requests(unseen)
             replica.engine.adopt_sync(msg.cid, msg.regency, msg.batch,
@@ -378,7 +378,7 @@ class Synchronizer:
         for c, batch, batch_hash in msg.extra:
             if c <= replica.last_decided or batch is None:
                 continue
-            unseen = [r for r in batch if r.key not in replica.seen]
+            unseen = [r for r in batch if r.key not in replica.admitted]
             if unseen:
                 replica.ingest_requests(unseen)
             replica.engine.adopt_sync(c, msg.regency, batch, batch_hash)

@@ -149,8 +149,8 @@ class ModSmartReplica:
         self.last_decided = -1
         self.last_executed = -1
         self.pending: "OrderedDict[RequestKey, ClientRequest]" = OrderedDict()
-        self.seen: set[RequestKey] = set()
-        self.verified: set[RequestKey] = set()
+        #: Admission table: every request key seen -> verified yet?
+        self.admitted: dict[RequestKey, bool] = {}
         self.inflight: set[RequestKey] = set()
         self.decision_buffer: dict[int, Decision] = {}
         self._verify_waiters: list[tuple[set[RequestKey], Callable[[], None]]] = []
@@ -318,36 +318,34 @@ class ModSmartReplica:
 
     def ingest_requests(self, requests: list[ClientRequest]) -> None:
         """Admit new client requests: dedupe, verify (per mode), enqueue."""
-        seen = self.seen
+        admitted = self.admitted
         pending = self.pending
-        fresh = []
+        # Only PARALLEL verifies signed requests on the pool before they
+        # may be ordered; SEQUENTIAL charges at execution, NONE never
+        # verifies.
+        pooled = self.config.verification is VerificationMode.PARALLEL
+        to_verify = []
+        fresh = False
         for req in requests:
             key = req.key
-            if key not in seen:
-                seen.add(key)
+            if key not in admitted:
+                fresh = True
                 pending[key] = req
-                fresh.append(req)
-        if not fresh:
-            return
-        mode = self.config.verification
-        if mode is VerificationMode.PARALLEL:
-            to_verify = [r.key for r in fresh if r.signed]
-            instant = [r.key for r in fresh if not r.signed]
-            self.verified.update(instant)
-            if to_verify:
-                self.charge_pool_bulk(
-                    self.costs.crypto.verify_time, len(to_verify),
-                    self._mark_verified, to_verify,
-                )
-            elif instant:
-                self._after_verification()
-        else:
-            # SEQUENTIAL charges at execution; NONE never verifies.
-            self.verified.update(r.key for r in fresh)
+                if pooled and req.signed:
+                    admitted[key] = False
+                    to_verify.append(key)
+                else:
+                    admitted[key] = True
+        if to_verify:
+            self.charge_pool_bulk(
+                self.costs.crypto.verify_time, len(to_verify),
+                self._mark_verified, to_verify,
+            )
+        elif fresh:
             self._after_verification()
 
     def _mark_verified(self, keys: list[RequestKey]) -> None:
-        self.verified.update(keys)
+        self.admitted.update(dict.fromkeys(keys, True))
         if self._verify_waiters:
             still_waiting = []
             for wanted, fn in self._verify_waiters:
@@ -370,7 +368,9 @@ class ModSmartReplica:
         if self.config.verification is not VerificationMode.PARALLEL:
             fn()
             return
-        missing = {r.key for r in batch if r.signed and r.key not in self.verified}
+        admitted = self.admitted
+        missing = {r.key for r in batch
+                   if r.signed and not admitted.get(r.key)}
         if not missing:
             fn()
         else:
@@ -386,13 +386,13 @@ class ModSmartReplica:
         """
         limit = self.config.batch_size
         inflight = self.inflight
-        verified = self.verified
+        admitted = self.admitted
         parallel = self.config.verification is VerificationMode.PARALLEL
         out: list[ClientRequest] = []
         for key, req in self.pending.items():
             if key in inflight:
                 continue
-            if parallel and req.signed and key not in verified:
+            if parallel and req.signed and not admitted[key]:
                 continue
             if req.special:
                 if not out:
@@ -779,8 +779,7 @@ class ModSmartReplica:
         self.state_transfer.on_crash()
         self.engine.on_crash()
         self.pending.clear()
-        self.seen.clear()
-        self.verified.clear()
+        self.admitted.clear()
         self.inflight.clear()
         self.decision_buffer.clear()
         self._verify_waiters.clear()

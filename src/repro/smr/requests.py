@@ -54,15 +54,32 @@ class ClientRequest:
     #: (canonical encoding, naive block payloads).
     op_repr: str = field(init=False, repr=False, compare=False)
     _canonical: tuple = field(init=False, repr=False, compare=False)
+    #: The block row, built on first use (:meth:`tx_row`).  Reset here, so
+    #: a copy made through ``__init__`` (``dataclasses.replace``, a rotted
+    #: record) derives its own.
+    _tx_row: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.key = (self.client_id, self.req_id)
         self.op_repr = repr(self.op)
         self._canonical = ("req", self.client_id, self.req_id, self.special,
                            self.op_repr)
+        self._tx_row = None
 
     def to_canonical(self) -> tuple:
         return self._canonical
+
+    def tx_row(self) -> tuple:
+        """This transaction as a block stores it: the canonical
+        ``("tx", client_id, req_id, op, size, special)`` tuple — a block
+        body's row, a logged ``txs`` row and a Merkle leaf of
+        ``hash_transactions``.  The n replicas of a process hold the same
+        request object, so they all chain and log this one tuple."""
+        row = self._tx_row
+        if row is None:
+            row = self._tx_row = ("tx", self.client_id, self.req_id, self.op,
+                                  self.size, self.special)
+        return row
 
 
 def batch_digest(batch: Sequence[ClientRequest]) -> bytes:

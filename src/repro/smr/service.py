@@ -56,6 +56,17 @@ class Application(abc.ABC):
         """Execute a batch in order; returns request key -> ExecutionResult."""
         return {req.key: self.execute(req) for req in batch}
 
+    def execute_rows(self, batch: list[ClientRequest]
+                     ) -> tuple[dict, tuple[tuple, ...]]:
+        """:meth:`execute_batch` for a layer that records results: also
+        returns the result rows ``(client_id, req_id, repr(result),
+        digest)`` of the batch, in result order — a block's result table.
+        An application whose replicas all derive the same row may hand
+        each of them the same tuple (SMaRtCoin does)."""
+        results = self.execute_batch(batch)
+        return results, tuple([(key[0], key[1], repr(value[0]), value[1])
+                               for key, value in results.items()])
+
     def conflict_keys(
             self, request: ClientRequest) -> tuple[tuple, tuple] | None:
         """Per-operation ``(reads, writes)`` key sets for the parallel

@@ -4,7 +4,7 @@ import pytest
 
 from repro.clients.client import Client
 from repro.config import PersistenceVariant, StorageMode
-from repro.ledger import Block
+from repro.ledger import Block, TxRecord
 
 from tests.helpers import (
     attach_station,
@@ -31,7 +31,7 @@ class TestBlockProduction:
             assert len(block.body.transactions) == len(block.body.results)
             for tx, result in zip(block.body.transactions,
                                   block.body.results):
-                assert tx.client_id == result[0]
+                assert TxRecord.from_canonical(tx).client_id == result[0]
                 assert "minted" in result[2] or "error" in result[2]
 
     def test_header_pointers_maintained(self):

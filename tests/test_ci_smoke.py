@@ -101,3 +101,26 @@ def test_runner_holds_rows_to_their_expected_exit(monkeypatch, status,
     assert ran[0][1:5] == ["-m", "repro.bench", "recovery", "--engine"]
     assert len(ran) == (2 if outcome == 0 else 1)   # stops at the first miss
     assert ci_smoke.main(["no-such-job"]) == 64
+
+
+def test_ceilings_row_holds_the_e2e_result_to_the_committed_ceiling(tmp_path):
+    import json
+    ceilings = json.loads(ci_smoke.CEILINGS.read_text())
+    bound = ceilings["workloads"]["coin_smartchain"]["peak_rss_mb"]
+    assert bound["ceiling"] == pytest.approx(bound["median"] * 1.08, abs=0.01)
+
+    def result(value):
+        return {"workloads": {"coin_smartchain": {"end_to_end": {
+            "peak_rss_mb": {"value": value}}}}}
+
+    assert ci_smoke.over_ceiling(result(bound["median"]), ceilings) == []
+    assert ci_smoke.over_ceiling(result(bound["ceiling"] * 1.01), ceilings)
+    # A 20% slip back towards per-replica rows is caught ...
+    assert ci_smoke.over_ceiling(result(bound["median"] * 1.2), ceilings)
+    # ... and so is a result that no longer reports the metric.
+    assert ci_smoke.over_ceiling({"workloads": {}}, ceilings)
+    path = tmp_path / "e2e.json"
+    path.write_text(json.dumps(result(bound["ceiling"] + 1.0)))
+    assert ci_smoke.main(["ceilings", str(path)]) == 1
+    path.write_text(json.dumps(result(bound["median"])))
+    assert ci_smoke.main(["ceilings", str(path)]) == 0

@@ -55,7 +55,11 @@ def make_block(number, prev_hash, txs=2, view_id=0, last_reconfig=-1,
 class TestBlockStructures:
     def test_tx_record_roundtrip(self):
         record = TxRecord(7, 3, ("spend", "a", ("c",), (("b", 5),)), 310, "")
-        assert TxRecord.from_record(record.to_record()) == record
+        row = record.to_canonical()
+        assert type(row) is tuple and row == record
+        assert row == ("tx", 7, 3, ("spend", "a", ("c",), (("b", 5),)), 310, "")
+        assert TxRecord.from_canonical(row) == record
+        assert (record.client_id, record.req_id, record.size) == (7, 3, 310)
 
     def test_header_roundtrip_and_digest_stability(self):
         block = make_block(1, EMPTY_DIGEST)

@@ -41,6 +41,21 @@ def observed_run():
     return _observed()
 
 
+def _nodes(result):
+    return sorted(result.handle.system.nodes.values(), key=lambda n: n.id)
+
+
+def _agreed(node):
+    return (node.chain.height, node.chain.head_digest(),
+            node.delivery.app.state_digest())
+
+
+def _first_result_rows_shared(nodes) -> bool:
+    first = [node.chain.get(1).body.results[0] for node in nodes]
+    assert all(row == first[0] for row in first)
+    return all(row is first[0] for row in first)
+
+
 class TestEventLog:
     def test_unknown_kind_rejected(self):
         log = EventLog()
@@ -101,6 +116,16 @@ class TestDeterminismUnderCaching:
         assert (observed_run.handle.obs.events.to_jsonl()
                 == uncached.handle.obs.events.to_jsonl())
         assert observed_run.report["summary"] == uncached.report["summary"]
+        # What the replicas agreed on, too: chain heads and service state.
+        # Uncached, the result-row memo stores nothing, so each replica
+        # built its own result rows — equal bytes, distinct objects — where
+        # the cached run's replicas share one tuple per row.
+        cached_nodes = _nodes(observed_run)
+        uncached_nodes = _nodes(uncached)
+        assert ([_agreed(n) for n in cached_nodes]
+                == [_agreed(n) for n in uncached_nodes])
+        assert _first_result_rows_shared(cached_nodes)
+        assert not _first_result_rows_shared(uncached_nodes)
 
     def test_table1_row_numbers_identical_cache_on_and_off(self):
         def row():

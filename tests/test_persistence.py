@@ -16,6 +16,7 @@ import pytest
 from repro.clients.client import Client
 from repro.config import PersistenceVariant, StorageMode
 from repro.core.persistence import PersistenceLevel, persistence_level_of
+from repro.ledger import TxRecord
 from repro.sim.trace import TraceLog
 
 from tests.helpers import attach_station, make_consortium, mint_ops_simple
@@ -196,7 +197,7 @@ class TestExternalDurability:
         # Count mint transactions in the recovered chain of node 0.
         minted_in_chain = sum(
             1 for block in consortium.node(0).delivery.chain
-            for tx in block.body.transactions
+            for tx in map(TxRecord.from_canonical, block.body.transactions)
             if tx.op and tx.op[0] == "mint")
         successful_acks = sum(1 for r in acknowledged
                               if isinstance(r, tuple) and r[0] == "minted")

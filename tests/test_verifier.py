@@ -10,7 +10,7 @@ import pytest
 from repro.config import PersistenceVariant, StorageMode
 from repro.errors import VerificationError
 from repro.crypto.hashing import hash_obj
-from repro.ledger import Block, ChainVerifier
+from repro.ledger import Block, ChainVerifier, TxRecord
 
 from tests.helpers import make_consortium, run_coin_traffic
 
@@ -88,10 +88,10 @@ class TestTamperDetection:
         consortium, records = strong_chain
 
         def hack(block):
-            tx = block.body.transactions[0]
-            block.body.transactions[0] = type(tx)(
+            tx = TxRecord.from_canonical(block.body.transactions[0])
+            block.body.transactions[0] = TxRecord(
                 tx.client_id, tx.req_id, ("mint", "thief", ((10**9, 1),)),
-                tx.size, tx.special)
+                tx.size, tx.special).to_canonical()
 
         with pytest.raises(VerificationError):
             verify(consortium, tamper(records, 1, hack))
