@@ -96,21 +96,28 @@ def measure(parent: Path, workload: str, seeds: list[int],
             for m in metrics}
 
 
+def verdict(name: str, row: dict) -> str:
+    """What the table says of one metric.  A simulated metric is exact per
+    seed: it is bit-identical, or the change moved the modelled system —
+    and is then held to the gain rule like a host metric."""
+    simulated = name.startswith("sim_")
+    if simulated and row["identical"]:
+        return "bit-identical per seed"
+    return (("DIFFERS per seed  " if simulated else "")
+            + f"wins {row['wins']}/{row['pairs']} ties {row['ties']}"
+            "  medians "
+            + ("further apart than" if row["resolved"] else "within")
+            + " the parent IQR")
+
+
 def report(workload: str, table: dict[str, dict]) -> None:
     print(f"== {workload}")
     for name, row in table.items():
         p, c = row["parent"], row["change"]
-        if name.startswith("sim_"):
-            verdict = ("bit-identical per seed" if row["identical"]
-                       else "DIFFERS per seed")
-        else:
-            verdict = (f"wins {row['wins']}/{row['pairs']} ties {row['ties']}"
-                       "  medians "
-                       + ("further apart than" if row["resolved"] else "within")
-                       + " the parent IQR")
         print(f"{name:20s} parent {p['median']:.6g} [{p['q1']:.6g}, "
               f"{p['q3']:.6g}]  change {c['median']:.6g} [{c['q1']:.6g}, "
-              f"{c['q3']:.6g}]  gain {row['gain_share']:+.1%}  {verdict}")
+              f"{c['q3']:.6g}]  gain {row['gain_share']:+.1%}  "
+              f"{verdict(name, row)}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -84,12 +84,18 @@ JOBS: dict[str, tuple[Row, ...]] = {
     # with crash-recover storms, and verified recovery must keep every
     # recovered replica on the canonical chain.  Re-running the bit-rot
     # storm with verify_recovery=false must diverge (exit 2).  The fault
-    # sweep is gated against the committed baseline.
+    # sweep is gated against the committed baseline.  Those rows are
+    # Dura-SMaRt; the SMARTCHAIN row is the benchmark's leader-crash plan
+    # (bit-rot, crash of the leader, recovery by delta state transfers)
+    # under the safety, recovery and liveness auditors.
     "recovery": (
         *(Row(("recovery", "--faults", plan, "--audit"))
           for plan in ("bitrot-recovery", "torn-write-recovery")),
         Row(("recovery", "--faults", "bitrot-unverified", "--audit"),
             expect=2),
+        Row(_smartchain("--faults", "benchmarks/e2e/plans/leader-crash.json",
+                        "--audit", "--audit-liveness",
+                        clients=600, duration=4.0)),
         Row(("recovery", "--report", "recovery-report.json",
              "--check-against", "benchmarks/results/BENCH_recovery.json"),
             DEFAULT),

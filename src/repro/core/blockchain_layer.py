@@ -22,11 +22,12 @@ self-verifiable chain of blocks:
 - reconfiguration transactions get their own blocks carrying the new view
   and its certified consensus keys (lines 37-48).
 
-State transfer serves *checkpoint + blocks up to an agreed consensus id*
-(Section V-C: "sending the last checkpoint covering up to a block b plus the
-blocks after it"), so any two correct replicas serve bit-identical packages
-for the same target — the receiver's f+1 hash comparison is meaningful even
-while the system keeps processing new blocks.
+State transfer serves *the blocks up to an agreed consensus id* — after the
+requester's own head when the server holds that block (a delta), else after
+a checkpoint (Section V-C: "sending the last checkpoint covering up to a
+block b plus the blocks after it") — so any two correct replicas serve
+bit-identical packages for the same request, and the receiver's f+1 hash
+comparison is meaningful even while the system keeps processing new blocks.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from repro.smr import scheduler
 from repro.smr.requests import ClientRequest, Decision
 from repro.smr.service import Application, SequentialDelivery
 from repro.smr.views import View
+from repro.storage.stable import checksum
 
 __all__ = ["SmartChainDelivery", "ReconfigOutcome", "CheckpointInfo"]
 
@@ -132,6 +134,9 @@ class SmartChainDelivery(SequentialDelivery):
         #: deterministically, even when servers checkpoint at different
         #: wall-clock instants.
         self._checkpoints: list[CheckpointInfo] = []
+        #: The last received state package and its parsed blocks
+        #: (:meth:`_shipped_blocks`).
+        self._parsed: tuple[Any, list[Block]] | None = None
         # Statistics.
         self.blocks_built = 0
         self.reconfig_blocks = 0
@@ -165,6 +170,10 @@ class SmartChainDelivery(SequentialDelivery):
         replica.register_handler(PersistMsg, self._on_persist)
         self._write_genesis()
         self._checkpoints = [self._make_checkpoint_info(0, -1)]
+        #: The service state before block 1 — what a replay that finds no
+        #: usable snapshot starts from.  A function of the application's
+        #: factory, so it outlives a crash.
+        self._initial_snapshot = self._checkpoints[0].snapshot
 
     def _write_genesis(self) -> None:
         store = self.replica.store
@@ -238,8 +247,8 @@ class SmartChainDelivery(SequentialDelivery):
         special = bool(decision.batch and decision.batch[0].special)
         if special and self.reconfig_handler is not None:
             work = costs.block_build_overhead + costs.batch_overhead
-            replica.charge_sm(work, self._apply_special, decision, txs,
-                              number, done)
+            self.charge_sm(work, self._apply_special, decision, txs,
+                           number, done)
         elif (not special
                 and replica.last_decided - decision.cid > self.CATCHUP_LAG):
             # Fast-replay a stale decision: the rest of the group already
@@ -247,22 +256,21 @@ class SmartChainDelivery(SequentialDelivery):
             # and the block.
             work = (len(decision.batch) * costs.replay_time_per_tx
                     + costs.batch_overhead)
-            replica.charge_sm(work, self._apply_catchup, decision, txs,
-                              number, done)
+            self.charge_sm(work, self._apply_catchup, decision, txs,
+                           number, done)
         elif scheduler.parallel_execution(replica, self.app):
             # Per-transaction work runs on the exec pool; block building
             # and body hashing stay on the SM thread.
             serial = (costs.batch_overhead + costs.block_build_overhead
                       + costs.crypto.hash_time_per_kb * (body_bytes / 1024))
             scheduler.charge_execution(replica, self.app, decision.batch,
-                                       serial, self._executed, decision,
-                                       txs, number, done)
+                                       serial, self.current(self._executed),
+                                       decision, txs, number, done)
         else:
             work = replica.execution_cost(decision.batch)
             work += costs.block_build_overhead
             work += costs.crypto.hash_time_per_kb * (body_bytes / 1024)
-            replica.charge_sm(work, self._executed, decision, txs, number,
-                              done)
+            self.charge_sm(work, self._executed, decision, txs, number, done)
 
     def _build_body(self, number: int, decision: Decision, txs: tuple,
                     results: tuple, **reconfig: Any) -> BlockBody:
@@ -365,8 +373,8 @@ class SmartChainDelivery(SequentialDelivery):
         replica = self.replica
         block = self._append_block(number, body, decision)
         if self.storage is StorageMode.SYNC:
-            replica.store.sync(self._header_stable, block, decision,
-                               results_map, reconfig, done)
+            replica.store.sync(self.current(self._header_stable), block,
+                               decision, results_map, reconfig, done)
         else:
             self._header_stable(block, decision, results_map, reconfig, done)
 
@@ -539,7 +547,7 @@ class SmartChainDelivery(SequentialDelivery):
             self.replica.store.append(
                 self.LOG, ("cert", number, certificate.to_record()),
                 certificate.size_bytes())
-        self.replica.charge_sm(self.replica.costs.persist_handling, completion)
+        self.charge_sm(self.replica.costs.persist_handling, completion)
 
     def repersist_missing(self, on_done: Callable[[], None] | None = None) -> None:
         """Re-run the PERSIST phase for blocks lacking certificates (after a
@@ -707,17 +715,35 @@ class SmartChainDelivery(SequentialDelivery):
         self.executed_cid = body.consensus_id
 
     # ------------------------------------------------------------------
-    # State transfer: checkpoint + blocks up to the agreed consensus id
+    # State transfer: the blocks up to the agreed consensus id, after the
+    # requester's head (delta) or after a checkpoint
     # ------------------------------------------------------------------
-    def capture_state(self, up_to_cid: int | None = None) -> tuple[Any, int]:
+    #: First element of a delta package's anchor ``(DELTA, number, digest)``
+    #: — the block the shipped ones follow — where a checkpoint + suffix
+    #: package has its checkpoint record.
+    DELTA = "delta"
+
+    def transfer_base(self) -> tuple[int, bytes] | None:
+        if self.chain.height == 0:
+            return None  # nothing to build on: a cold joiner
+        return self.chain.height, self.chain.head_digest()
+
+    def capture_state(self, up_to_cid: int | None = None,
+                      base: tuple[int, bytes] | None = None
+                      ) -> tuple[Any, int]:
         target = self.executed_cid if up_to_cid is None else up_to_cid
-        info = self._checkpoint_for(target)
-        blocks = [b for b in self.chain.blocks(start=info.block_number + 1)
+        if base is not None and self.chain.digest_at(base[0]) == base[1]:
+            # The requester's head is a block of this chain: ship the gap.
+            anchor, after, nbytes = (self.DELTA, *base), base[0], 0
+        else:
+            info = self._checkpoint_for(target)
+            anchor, after, nbytes = (self._checkpoint_record(info),
+                                     info.block_number, info.nbytes)
+        blocks = [b for b in self.chain.blocks(start=after + 1)
                   if b.body.consensus_id <= target]
-        package = (target, self._checkpoint_record(info),
-                   tuple(b.to_record() for b in blocks))
-        nbytes = info.nbytes + sum(b.serialized_bytes() for b in blocks)
-        return package, nbytes
+        package = (target, anchor, tuple(b.to_record() for b in blocks))
+        self._parsed = (package, blocks)  # its own need no parsing back
+        return package, nbytes + sum(b.serialized_bytes() for b in blocks)
 
     def _checkpoint_for(self, target_cid: int) -> CheckpointInfo:
         """Newest retained checkpoint not newer than ``target_cid`` — the
@@ -737,41 +763,87 @@ class SmartChainDelivery(SequentialDelivery):
                 info.nbytes, info.view_id, info.members, info.permanent_keys,
                 info.recorded, info.last_reconfig, info.head_digest)
 
+    def package_digest(self, package: Any) -> bytes:
+        """Composed of commitments the chain already carries.  Per block:
+        the header digest, the two Merkle roots *recomputed from the shipped
+        rows* (a body other than the one its header commits to gives
+        another digest — :meth:`Block.validate_body`, folded in), cid,
+        batch hash, announcements and new view; plus the checkpoint
+        record's checksum, or the delta anchor.  Certificates and consensus
+        proofs are left out: any Byzantine-quorum subset is valid, so
+        correct replicas legitimately hold different ones."""
+        target, anchor, _block_records = package
+        if anchor[0] != self.DELTA:
+            anchor = checksum(anchor)
+        return hash_obj(("st", target, anchor, [
+            (block.digest(), block.body.hash_transactions(),
+             block.body.hash_results(), block.body.consensus_id,
+             block.body.batch_hash, block.body.key_announcements,
+             block.body.new_view)
+            for block in self._shipped_blocks(package)]))
+
+    def _shipped_blocks(self, package: Any) -> list[Block]:
+        """The blocks of a state package, parsed once for whatever reads
+        them: :meth:`package_digest`, :meth:`verify_package`,
+        :meth:`install_state`."""
+        parsed = self._parsed
+        if parsed is None or parsed[0] is not package:
+            try:
+                blocks = [Block.from_record(r) for r in package[2]]
+            except (TypeError, ValueError, IndexError) as exc:
+                raise LedgerError("malformed state package") from exc
+            parsed = self._parsed = (package, blocks)
+        return parsed[1]
+
     def install_state(self, package: Any) -> None:
-        _target, ckpt_record, block_records = package
-        (number, cid, snapshot, nbytes, view_id, members, permanent,
-         recorded, last_reconfig, head_digest) = ckpt_record
-        self.app.install_snapshot(snapshot)
-        self.executed_cid = cid
-        self.last_reconfig = last_reconfig
-        self.last_checkpoint = number if number > 0 else -1
-        self.recorded_members = {vid: set(m) for vid, m in recorded}
-        if self.node is not None:
-            self.node.permanent_keys.update(dict(permanent))
-        view = View(view_id, tuple(members))
-        if view.view_id > self.replica.cv.view_id:
-            self.replica.install_view(view)
-        self.chain = Blockchain.from_suffix(self.genesis, number, head_digest,
-                                            [])
-        for record in block_records:
-            block = Block.from_record(record)
+        _target, anchor, _block_records = package
+        blocks = self._shipped_blocks(package)
+        self._parsed = None
+        delta = anchor[0] == self.DELTA
+        if delta:
+            chain = self.chain
+        else:
+            (number, cid, snapshot, nbytes, view_id, members, permanent,
+             recorded, last_reconfig, head_digest) = anchor
+            chain = Blockchain.from_suffix(self.genesis, number, head_digest,
+                                           [])
+        # A delta's first blocks may be ones this replica appended itself
+        # since it asked; whatever is new must link onto the head.
+        blocks = [b for b in blocks if b.number > chain.height]
+        if blocks and (blocks[0].number != chain.height + 1
+                       or blocks[0].header.hash_last_block
+                       != chain.head_digest()):
+            raise LedgerError(
+                f"state package does not extend block {chain.height} of "
+                f"replica {self.replica.id}'s chain")
+        self.superseded()
+        if not delta:
+            self.app.install_snapshot(snapshot)
+            self.executed_cid = cid
+            self.last_reconfig = last_reconfig
+            self.last_checkpoint = number if number > 0 else -1
+            self.recorded_members = {vid: set(m) for vid, m in recorded}
+            if self.node is not None:
+                self.node.permanent_keys.update(dict(permanent))
+            view = View(view_id, tuple(members))
+            if view.view_id > self.replica.cv.view_id:
+                self.replica.install_view(view)
+            self.chain = chain
+            self._checkpoints = [CheckpointInfo(
+                block_number=number, consensus_id=cid, snapshot=snapshot,
+                nbytes=nbytes, view_id=view_id, members=tuple(members),
+                permanent_keys=tuple(permanent), recorded=tuple(recorded),
+                last_reconfig=last_reconfig, head_digest=head_digest)]
+        for block in blocks:
             self.chain.append(block)
             self._replay_block(block)
-        self._checkpoints = [CheckpointInfo(
-            block_number=number, consensus_id=cid, snapshot=snapshot,
-            nbytes=nbytes, view_id=view_id, members=tuple(members),
-            permanent_keys=tuple(permanent), recorded=tuple(recorded),
-            last_reconfig=last_reconfig, head_digest=head_digest)]
 
-    def package_digest_material(self, package: Any) -> Any:
-        """Strip certificates and consensus proofs: any Byzantine-quorum
-        subset is valid, so correct replicas legitimately hold different
-        ones.  The hash comparison covers target, checkpoint, headers and
-        bodies only."""
-        target, ckpt_record, block_records = package
-        stripped = tuple((header, body) for header, body, _cert, _proof
-                         in block_records)
-        return (target, ckpt_record, stripped)
+    def superseded(self) -> None:
+        super().superseded()
+        self._persist_waits.clear()
+        for timer in self._persist_timers.values():
+            timer.cancel()
+        self._persist_timers.clear()
 
     def install_cost(self, package: Any) -> float:
         costs = self.replica.costs
@@ -787,8 +859,8 @@ class SmartChainDelivery(SequentialDelivery):
         """Check a state package offered by a single (untrusted) peer: every
         block in the suffix must carry a valid certificate."""
         try:
-            blocks = [Block.from_record(r) for r in package[2]]
-        except Exception:
+            blocks = self._shipped_blocks(package)
+        except LedgerError:
             return False
         prev: Block | None = None
         for block in blocks:
@@ -899,6 +971,12 @@ class SmartChainDelivery(SequentialDelivery):
                                      for vid, m in checkpoint.recorded}
             self._checkpoints = [checkpoint]
             replay_from = checkpoint.block_number + 1
+        else:
+            # Not the state the crashed process held: it is ahead of a
+            # truncated log, and replaying onto it counts every block twice
+            # — which a delta transfer, unlike a whole-state one, would
+            # never repair.
+            self.app.install_snapshot(self._initial_snapshot)
         for block in self.chain.blocks(start=replay_from):
             self._replay_block(block)
         head = self.chain.head()
@@ -948,18 +1026,10 @@ class SmartChainDelivery(SequentialDelivery):
             self.executed_cid = checkpoint.consensus_id
             replay_from = checkpoint.block_number + 1
         else:
-            self.app.install_snapshot(self._empty_snapshot())
+            self.app.install_snapshot(self._initial_snapshot)
             self.executed_cid = -1
         for block in self.chain.blocks(start=replay_from):
             self._replay_block(block)
-
-    def _empty_snapshot(self) -> Any:
-        try:
-            return type(self.app)().snapshot()[0]
-        except TypeError as exc:
-            raise LedgerError(
-                "application cannot be reset for suffix reconciliation"
-            ) from exc
 
     def on_crash(self) -> None:
         super().on_crash()

@@ -73,6 +73,15 @@ class Blockchain:
                 f"(base {self.base_height}, height {self.height})")
         return self._blocks[number - self.base_height - 1]
 
+    def digest_at(self, number: int) -> bytes | None:
+        """Digest of block ``number`` as this chain knows it — a block it
+        holds, or the base it continues from — else None."""
+        if number == self.base_height:
+            return self._base_digest
+        if self.base_height < number <= self.height:
+            return self._blocks[number - self.base_height - 1].digest()
+        return None
+
     def head(self) -> Block | None:
         return self._blocks[-1] if self._blocks else None
 

@@ -159,7 +159,9 @@ class DuraSmartDelivery(DeliveryLayer):
     # ------------------------------------------------------------------
     # State transfer / recovery
     # ------------------------------------------------------------------
-    def capture_state(self, up_to_cid: int | None = None) -> tuple[Any, int]:
+    def capture_state(self, up_to_cid: int | None = None,
+                      base: tuple[int, bytes] | None = None
+                      ) -> tuple[Any, int]:
         snapshot, nbytes = self.app.snapshot()
         return (self.executed_cid, snapshot), nbytes
 

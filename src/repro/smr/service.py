@@ -16,12 +16,12 @@ ordered batches plus snapshot/install for state transfer.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.config import StorageMode
 from repro.smr.recovery import RecoveryStats, Replay
 from repro.smr.requests import ClientRequest, Decision
-from repro.storage.stable import AsyncFlusher
+from repro.storage.stable import AsyncFlusher, checksum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.smr.replica import ModSmartReplica
@@ -127,24 +127,41 @@ class DeliveryLayer(abc.ABC):
         """Handle the next decision (called in strict cid order)."""
 
     # -- State transfer hooks -------------------------------------------
+    def transfer_base(self) -> tuple[int, bytes] | None:
+        """The verified chain head ``(block number, digest)`` a state
+        transfer may build on, sent with the request so that a server
+        holding the same block ships only what comes after it; ``None``
+        for a layer (or a replica) that holds no chain."""
+        return None
+
     @abc.abstractmethod
-    def capture_state(self, up_to_cid: int | None = None) -> tuple[Any, int]:
+    def capture_state(self, up_to_cid: int | None = None,
+                      base: tuple[int, bytes] | None = None
+                      ) -> tuple[Any, int]:
         """(opaque state package, serialized size) for a state transfer.
 
         Layers that can serve historical state honor ``up_to_cid`` so that
         any two correct replicas serve identical packages for the same
-        target; simpler layers may serve their current state."""
+        target; simpler layers may serve their current state.  ``base`` is
+        the requester's :meth:`transfer_base`: a layer that keeps a chain
+        and holds that block ships the blocks after it, every other case
+        the whole state."""
 
     @abc.abstractmethod
     def install_state(self, package: Any) -> None:
-        """Install a state package received via state transfer."""
+        """Install a state package received via state transfer.  Raises
+        :class:`~repro.errors.LedgerError`, before changing anything, when
+        the package does not extend what this replica holds."""
 
-    def package_digest_material(self, package: Any) -> Any:
-        """The deterministic part of a state package, used for the f+1 hash
-        comparison.  Layers whose packages embed replica-local artifacts
+    def package_digest(self, package: Any) -> bytes:
+        """Commitment to the *whole* deterministic content of a state
+        package — what f+1 servers must agree on before it is installed.
+        Snapshot packages are committed like a stored record: the canonical
+        digest, or that of the ``repr`` text where the encoder refuses the
+        snapshot.  Layers whose packages embed replica-local artifacts
         (certificates, decision proofs — valid quorum subsets differ across
-        replicas) must strip them here."""
-        return package
+        replicas) leave those out."""
+        return checksum(package)
 
     def install_cost(self, package: Any) -> float:
         """SM-thread seconds needed to install ``package`` (deserialization
@@ -202,6 +219,9 @@ class SequentialDelivery(DeliveryLayer):
     def __init__(self) -> None:
         self._queue: list[Decision] = []
         self._busy = False
+        #: State installs so far: work charged under an earlier count is
+        #: stale (see :meth:`current`).
+        self._installs = 0
 
     def on_decide(self, decision: Decision) -> None:
         self._queue.append(decision)
@@ -212,7 +232,31 @@ class SequentialDelivery(DeliveryLayer):
             return
         self._busy = True
         decision = self._queue.pop(0)
-        self.process(decision, self._done)
+        self.process(decision, self.current(self._done))
+
+    def current(self, fn: Callable[..., Any]) -> Callable[..., Any]:
+        """Wrap a step of processing a decision so that it is dropped if a
+        state install lands before it runs — what it would build on is
+        gone, the way ``replica.guard`` drops work across a crash."""
+        installs = self._installs
+
+        def wrapper(*args: Any) -> None:
+            if self._installs == installs:
+                fn(*args)
+
+        return wrapper
+
+    def charge_sm(self, seconds: float, fn: Callable[..., Any],
+                  *args: Any) -> None:
+        """SM-thread work on the decision being processed (:meth:`current`)."""
+        self.replica.charge_sm(seconds, self.current(fn), *args)
+
+    def superseded(self) -> None:
+        """A state install carried the layer past every decision queued or
+        in flight: forget them."""
+        self._installs += 1
+        self._queue.clear()
+        self._busy = False
 
     def _done(self) -> None:
         self._busy = False
@@ -267,7 +311,9 @@ class MemoryDelivery(DeliveryLayer):
         self.replica.send_replies(results, decision.batch)
         self.replica.note_executed(decision)
 
-    def capture_state(self, up_to_cid: int | None = None) -> tuple[Any, int]:
+    def capture_state(self, up_to_cid: int | None = None,
+                      base: tuple[int, bytes] | None = None
+                      ) -> tuple[Any, int]:
         snapshot, nbytes = self.app.snapshot()
         return (self.executed_cid, snapshot), nbytes
 

@@ -2,15 +2,36 @@
 
 Follows BFT-SMART's scheme (Section II-C2): the recovering replica probes
 the group for the most recent decided consensus id, then asks one replica for
-the full state and ``f`` others for a hash of it — installing only when f+1
+the state and ``f`` others for a hash of it — installing only when f+1
 replies (one full + f hashes) match, so no coalition of f liars can poison
-the recovery.
+the recovery.  That holds because the hash is the delivery layer's
+:meth:`~repro.smr.service.DeliveryLayer.package_digest`, a commitment to
+*all* of the package: a package differing from the honest one anywhere — in
+the last row of the last block as much as in the first — has another digest,
+and f liars cannot make f+1 vouchers.
 
-Timing model: the sender serializes its state on the SM thread at
-``state_serialize_bps`` and ships it in chunks (so consensus messages
+**The transfer ships the gap, not the chain.**  The request carries the
+requester's verified chain head ``(block number, digest)``
+(:meth:`~repro.smr.service.DeliveryLayer.transfer_base`); a server that
+holds that very block answers with the blocks after it (a *delta*
+package), anything else — a cold joiner, a base the server does not hold
+or holds differently, a layer that keeps no chain — with its checkpoint +
+suffix or snapshot package.  The choice is the server's, from what it
+observes; every correct server makes the same one for the same request.
+
+**The retry is a no-progress timer.**  It restarts the probe only after
+``2 × request_timeout`` in which nothing moved: a filler chunk received or
+an install being charged re-arms it, a rejected package does not.  Each
+request round has an id that the servers echo, so chunks and hashes of a
+superseded round — or arriving when no transfer is running, or for a
+target this replica has already passed — are ignored.
+
+Timing model: the sender serializes what it ships on the pool at
+``state_serialize_bps`` and sends it in chunks (so consensus messages
 interleave with the bulk transfer on its NIC instead of queueing behind one
-gigantic message); the receiver pays an install cost.  With the calibrated
-constants a 1 GB state takes ≈60 s end to end — the green spots of Figure 7.
+gigantic message); the receiver pays an install cost for what it replays.
+With the calibrated constants a 1 GB state takes ≈60 s end to end — the
+green spots of Figure 7.
 """
 
 from __future__ import annotations
@@ -18,17 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.crypto.hashing import hash_obj
+from repro.errors import LedgerError
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.smr.replica import ModSmartReplica
-
-def _package_digest(cid: int, package) -> bytes:
-    """Digest of a state package (prefix + length keeps huge states cheap)."""
-    text = repr(package)
-    return hash_obj(("st", cid, len(text), text[:2048]))
-
 
 __all__ = [
     "StateTransferEngine",
@@ -65,6 +80,11 @@ class StRequestMsg(Message):
 
     want_full: bool = True
     up_to_cid: int = -1
+    #: The requester's verified chain head ``(block number, digest)``, or
+    #: None when it holds no chain; 40 more bytes on the wire.
+    base: tuple[int, bytes] | None = None
+    #: The requester's request round, echoed in every reply to it.
+    transfer_id: int = 0
     size: int = field(default=48, kw_only=True)
 
 
@@ -85,6 +105,7 @@ class StChunkMsg(Message):
 class StHashMsg(Message):
     up_to_cid: int = -1
     digest: bytes = b""
+    transfer_id: int = 0
     size: int = field(default=72, kw_only=True)
 
 
@@ -102,8 +123,11 @@ class StateTransferEngine:
         self._full: tuple[int, Any, bytes] | None = None   # (cid, package, digest)
         self._hashes: dict[int, tuple[int, bytes]] = {}
         self._retry_timer = None
-        self._transfer_seq = 0
+        #: Id of the current request round (see :class:`StRequestMsg`).
+        self._round = 0
         self._probing = False
+        #: An accepted package's install is being charged on the SM thread.
+        self._installing = False
         # Statistics.
         self.transfers_completed = 0
         self.last_transfer_seconds = 0.0
@@ -122,7 +146,6 @@ class StateTransferEngine:
 
         If a transfer is already running, the new callback is chained onto
         the existing one and the probe restarts (fresher target)."""
-        replica = self.replica
         previous = self._on_done
         if previous is not None:
             def chained(cid: int, _prev=previous, _new=on_done) -> None:
@@ -130,6 +153,12 @@ class StateTransferEngine:
                 _new(cid)
             on_done = chained
         self._on_done = on_done
+        self._probe()
+
+    def _probe(self) -> None:
+        """Open a request round: ask the view how far it has decided."""
+        replica = self.replica
+        self._round += 1
         self._infos.clear()
         self._full = None
         self._hashes.clear()
@@ -154,9 +183,22 @@ class StateTransferEngine:
             replica.config.request_timeout * 2, replica.guard(self._retry))
 
     def _retry(self) -> None:
+        """Nothing moved for a whole retry period: probe again — unless an
+        install is being charged on the SM thread, which cannot fail to
+        progress and so re-arms the timer."""
         self._retry_timer = None
-        if self._on_done is not None:
-            self.start(self._on_done)
+        if self._on_done is None:
+            return
+        if self._installing:
+            self._arm_retry()
+        else:
+            self._probe()
+
+    def _request(self, dst: int, want_full: bool, target: int) -> None:
+        base = self.replica.delivery.transfer_base()
+        self.replica.send(dst, StRequestMsg(
+            want_full=want_full, up_to_cid=target, base=base,
+            transfer_id=self._round, size=48 if base is None else 88))
 
     def _on_info(self, src: int, msg: StInfoMsg) -> None:
         replica = self.replica
@@ -184,8 +226,7 @@ class StateTransferEngine:
         if self._expect_self_verified:
             self._probing = False
             source = min(p for p, cid in sv_peers.items() if cid == target)
-            replica.send(source, StRequestMsg(want_full=True,
-                                              up_to_cid=target))
+            self._request(source, True, target)
             return
         holders = sorted(p for p, (cid, _) in self._infos.items()
                          if cid >= target)
@@ -197,49 +238,82 @@ class StateTransferEngine:
         leader = replica.cv.leader(replica.regency)
         non_leaders = [p for p in holders if p != leader]
         full_source = (non_leaders[0] if non_leaders else holders[0])
-        replica.send(full_source, StRequestMsg(want_full=True,
-                                               up_to_cid=target))
+        self._request(full_source, True, target)
         for other in holders[1:replica.f + 1]:
-            replica.send(other, StRequestMsg(want_full=False,
-                                             up_to_cid=target))
+            self._request(other, False, target)
+
+    def _stale(self, msg: "StChunkMsg | StHashMsg") -> bool:
+        """A reply nobody is waiting for: no transfer is running (or its
+        install is already under way), the request round it answers was
+        superseded, or this replica has passed its target meanwhile."""
+        return (self._on_done is None or self._installing
+                or msg.transfer_id != self._round
+                or msg.up_to_cid <= self.replica.last_decided)
 
     def _on_chunk(self, src: int, msg: StChunkMsg) -> None:
+        if self._stale(msg):
+            return
         if not msg.final:
-            return  # bulk filler chunk: only its bandwidth matters
+            # Bulk filler chunk: only its bandwidth matters — and that the
+            # transfer is moving.
+            self._arm_retry()
+            return
         self._full = (msg.up_to_cid, msg.package, msg.digest)
         self._maybe_install()
 
     def _on_hash(self, src: int, msg: StHashMsg) -> None:
+        if self._stale(msg):
+            return
         self._hashes[src] = (msg.up_to_cid, msg.digest)
         self._maybe_install()
 
     def _maybe_install(self) -> None:
         replica = self.replica
+        delivery = replica.delivery
         if self._full is None:
             return
         cid, package, digest = self._full
         if self._expect_self_verified:
             # One untrusted source suffices if the package proves itself.
-            if not replica.delivery.verify_package(package):
-                self._full = None
-                return
+            accepted = delivery.verify_package(package)
         else:
             matching = sum(1 for (c, d) in self._hashes.values()
                            if c == cid and d == digest)
             # Full reply + f matching hashes = f+1 vouchers.
             if matching < replica.f:
                 return
-            material = replica.delivery.package_digest_material(package)
-            if _package_digest(cid, material) != digest:
-                # The full sender lied about its own package; restart.
-                self._full = None
-                return
-        install_cost = self.replica.delivery.install_cost(package)
-        replica.charge_sm(install_cost, self._install, cid, package)
+            # ... for the package actually received, not for what its
+            # sender says it hashes to.
+            try:
+                accepted = delivery.package_digest(package) == digest
+            except LedgerError:  # too malformed to have a digest
+                accepted = False
+        if not accepted:
+            self._reject(cid)
+            return
+        self._installing = True
+        replica.charge_sm(delivery.install_cost(package), self._install,
+                          cid, package)
+
+    def _reject(self, cid: int) -> None:
+        """Drop a bad package.  It is no progress: the retry timer, left
+        as it is, restarts the probe."""
+        self._full = None
+        rt = self.replica.runtime
+        if rt.observing:
+            rt.notify("state-transfer", phase="rejected", cid=cid)
 
     def _install(self, cid: int, package: Any) -> None:
         replica = self.replica
-        replica.delivery.install_state(package)
+        self._installing = False
+        self._full = None
+        if cid <= replica.last_decided:
+            return  # ordering passed the target while the install waited
+        try:
+            replica.delivery.install_state(package)
+        except LedgerError:
+            self._reject(cid)  # does not extend this replica's chain
+            return
         replica.last_decided = cid
         replica.last_executed = cid
         replica.decision_buffer = {
@@ -303,16 +377,17 @@ class StateTransferEngine:
         if executed < cid:
             replica.sim.schedule(0.02, replica.guard(self._serve), src, msg)
             return
-        package, nbytes = replica.delivery.capture_state(up_to_cid=cid)
-        material = replica.delivery.package_digest_material(package)
-        digest = _package_digest(cid, material)
+        package, nbytes = replica.delivery.capture_state(up_to_cid=cid,
+                                                         base=msg.base)
+        digest = replica.delivery.package_digest(package)
+        transfer = msg.transfer_id
         if not msg.want_full:
-            # Hash-only replies are cheap: replicas maintain running state
-            # digests (the PBFT optimization), so no serialization charge.
-            replica.send(src, StHashMsg(up_to_cid=cid, digest=digest))
+            # Hash-only replies are cheap: the digest is composed of
+            # commitments the replica already holds (the PBFT
+            # optimization), so no serialization charge.
+            replica.send(src, StHashMsg(up_to_cid=cid, digest=digest,
+                                        transfer_id=transfer))
             return
-        self._transfer_seq += 1
-        transfer = self._transfer_seq
         total = max(1, -(-nbytes // CHUNK_BYTES))
         serialize_per_chunk = (nbytes / total) / replica.costs.state_serialize_bps
 
@@ -345,6 +420,7 @@ class StateTransferEngine:
             self._retry_timer = None
         self._on_done = None
         self._probing = False
+        self._installing = False
         self._infos.clear()
         self._full = None
         self._hashes.clear()

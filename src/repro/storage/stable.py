@@ -43,7 +43,8 @@ from repro.errors import CryptoError, StorageError
 from repro.sim.engine import Simulator
 from repro.storage.disk import Disk, DiskConfig
 
-__all__ = ["LogEntry", "StableStore", "AsyncFlusher", "STORAGE_FAULT_KINDS"]
+__all__ = ["LogEntry", "StableStore", "AsyncFlusher", "STORAGE_FAULT_KINDS",
+           "checksum"]
 
 #: Injectable storage pathologies (see :meth:`StableStore.inject_fault`).
 STORAGE_FAULT_KINDS = ("bit-rot", "torn-write", "gray-disk", "fsync-lie")
@@ -79,6 +80,11 @@ def _fingerprint(payload: Any, store: "StableStore | None" = None) -> bytes:
         if store is not None:
             store.repr_checksums += 1
         return hash_obj(repr(payload))
+
+
+#: The checksum under its public name: delivery layers commit to state
+#: packages — content the store never holds — the way it commits to records.
+checksum = _fingerprint
 
 
 def _bitrot(value: Any, rng) -> Any:

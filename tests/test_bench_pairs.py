@@ -41,6 +41,19 @@ def test_simulated_metrics_are_compared_to_the_bit():
     assert not bench_pairs.compare(values, off, "higher")["identical"]
 
 
+def test_a_simulated_metric_that_moved_is_held_to_the_gain_rule():
+    parent = [9751.69, 9818.94, 9751.57, 9750.71]
+    change = [10936.35, 10208.35, 10578.07, 10524.40]
+    moved = bench_pairs.compare(parent, change, "higher")
+    assert bench_pairs.verdict("sim_tx_per_s", moved) == (
+        "DIFFERS per seed  wins 4/4 ties 0  medians further apart than "
+        "the parent IQR")
+    same = bench_pairs.compare(parent, list(parent), "higher")
+    assert bench_pairs.verdict("sim_tx_per_s", same) == \
+        "bit-identical per seed"
+    assert bench_pairs.verdict("peak_rss_mb", same).startswith("wins 0/4")
+
+
 def test_one_pair_and_seed_lists():
     row = bench_pairs.compare([5.0], [4.0], "lower")
     assert row["parent"] == {"q1": 5.0, "median": 5.0, "q3": 5.0}

@@ -43,6 +43,10 @@ def _old_ci() -> list[tuple[str, str, int]]:
                          f" --faults {plan} --audit", 0))
         runs.append(("recovery", f"recovery --engine {engine}"
                      " --faults bitrot-unverified --audit", 2))
+        runs.append(("recovery", f"smartchain --engine {engine} --clients 600"
+                     " --duration 4.0"
+                     " --faults benchmarks/e2e/plans/leader-crash.json"
+                     " --audit --audit-liveness", 0))
         for cores in (1, 2):
             runs.append(("pipeline", f"smartchain --engine {engine}"
                          f" --pipeline-depth 4 --exec-cores {cores}"
