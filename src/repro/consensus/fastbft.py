@@ -46,16 +46,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.consensus.engine import ConsensusEngine, register_engine
-from repro.consensus.messages import (
-    FastCommitMsg,
-    FastVoteMsg,
-    ProposeMsg,
-    batch_wire_size,
-)
-from repro.crypto.hashing import hash_obj, hash_obj_cached
+from repro.consensus.messages import FastCommitMsg, FastVoteMsg, ProposeMsg
+from repro.crypto.hashing import hash_obj
 from repro.crypto.keys import Signature
 from repro.net.message import Message
-from repro.smr.requests import Decision, batch_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.smr.requests import ClientRequest
@@ -98,11 +92,7 @@ class FastInstance:
         self.regency = regency
         self.batch = None
         self.batch_hash = None
-        self.votes.clear()
-        self.commits.clear()
-        self.voted = False
-        self.committed = False
-        self.cancel_timer()
+        self.reset_for_view()
 
     def reset_for_view(self) -> None:
         """View change: old-view signatures are void; the batch is kept."""
@@ -117,15 +107,13 @@ class FastBftEngine(ConsensusEngine):
     """Two-round fast path at n = 5f−1 with a PBFT-style slow path."""
 
     name = "fastbft"
-    phases = ("vote", "commit")
+    vote_phases = {FastVoteMsg: "vote", FastCommitMsg: "commit"}
     #: Per-cid FastInstance tallies are independent, so concurrent
     #: instances compose exactly as in Mod-SMaRt; the same sanity cap.
     max_pipeline = 16
 
     def __init__(self) -> None:
         super().__init__()
-        self.instances: dict[int, FastInstance] = {}
-        self.future_proposals: dict[int, tuple[int, ProposeMsg]] = {}
         # Statistics (surface in bench metrics).
         self.fast_decisions = 0
         self.slow_decisions = 0
@@ -150,98 +138,23 @@ class FastBftEngine(ConsensusEngine):
     # ------------------------------------------------------------------
     def attach(self, replica) -> None:
         super().attach(replica)
-        replica.runtime.register_handler(ProposeMsg, self._on_propose)
         replica.runtime.register_handler(FastVoteMsg, self._on_vote)
         replica.runtime.register_handler(FastCommitMsg, self._on_commit)
-
-    def propose(self, batch: "list[ClientRequest]",
-                cid: int | None = None) -> None:
-        replica = self.replica
-        if cid is None:
-            cid = replica.last_decided + 1
-        batch_hash = batch_digest(batch)
-        replica.inflight.update(r.key for r in batch)
-        msg = ProposeMsg(cid=cid, regency=replica.regency, batch=batch,
-                         batch_hash=batch_hash, size=batch_wire_size(batch))
-        replica.trace.emit(replica.sim.now, "propose", replica=replica.id,
-                           cid=cid, batch=len(batch))
-        obs = replica.sim.obs
-        if obs.trace_pipeline and replica.id == obs.pipeline_node:
-            now = replica.sim.now
-            obs.tracer.mark_cid(cid, "propose", now)
-            for req in batch:
-                if obs.trace_request(req.key, "batch", now):
-                    obs.tracer.bind(req.key, cid)
-        replica.broadcast_view(msg)
-
-    def has_open_proposal(self, cid: int) -> bool:
-        instance = self.instances.get(cid)
-        return instance is not None and instance.batch_hash is not None
-
-    def on_delivered(self, cid: int) -> None:
-        instance = self.instances.pop(cid, None)
-        if instance is not None:
-            instance.cancel_timer()
 
     def on_view_installed(self, new_view: "View") -> None:
         replica = self.replica
         members = set(new_view.members)
-        for cid in list(self.instances):
-            if cid <= replica.last_decided:
-                continue
-            instance = self.instances[cid]
-            if instance.decided:
+        for cid, instance in list(self.instances.items()):
+            if cid <= replica.last_decided or instance.decided:
                 continue
             instance.reset_for_view()
             if (instance.batch_hash is not None
                     and replica.active and replica.id in members):
                 self._send_vote(instance)
 
-    def on_crash(self) -> None:
-        for instance in self.instances.values():
-            instance.cancel_timer()
-        self.instances.clear()
-        self.future_proposals.clear()
-
     # ------------------------------------------------------------------
-    # Buffered out-of-order proposals
+    # Synchronization-phase hook
     # ------------------------------------------------------------------
-    def kick_pending(self) -> None:
-        replica = self.replica
-        # Same windowed re-scan as ModSmartEngine.kick_pending: everything
-        # now inside the processing window is eligible, and processing can
-        # advance last_decided, so loop until a pass pops nothing.
-        while True:
-            limit = replica.last_decided + replica.pipeline_window
-            eligible = sorted(c for c in self.future_proposals
-                              if c <= limit)
-            if not eligible:
-                return
-            for c in eligible:
-                pending = self.future_proposals.pop(c, None)
-                if pending is not None and c > replica.last_decided:
-                    self._process_propose(*pending)
-
-    def earliest_buffered(self) -> int | None:
-        return min(self.future_proposals) if self.future_proposals else None
-
-    def discard_through(self, cid: int) -> None:
-        self.future_proposals = {
-            c: p for c, p in self.future_proposals.items() if c > cid}
-        for c in [c for c in self.instances if c <= cid]:
-            self.instances.pop(c).cancel_timer()
-
-    # ------------------------------------------------------------------
-    # Synchronization-phase hooks
-    # ------------------------------------------------------------------
-    def abandon_regency(self, cid: int, regency: int):
-        instance = self.instances.get(cid)
-        if instance is None:
-            return None
-        writeset = instance.writeset
-        instance.reset_for_regency(regency)
-        return writeset
-
     def adopt_sync(self, cid: int, regency: int,
                    batch: "list[ClientRequest]", batch_hash: bytes) -> None:
         instance = self._instance(cid)
@@ -257,9 +170,6 @@ class FastBftEngine(ConsensusEngine):
     # ------------------------------------------------------------------
     # Fault-injection hooks
     # ------------------------------------------------------------------
-    def vote_phase_of(self, msg_type: type) -> str | None:
-        return {FastVoteMsg: "vote", FastCommitMsg: "commit"}.get(msg_type)
-
     def value_bearing_types(self) -> tuple[type, ...]:
         return (ProposeMsg, FastVoteMsg)
 
@@ -278,42 +188,15 @@ class FastBftEngine(ConsensusEngine):
         ]
 
     # ------------------------------------------------------------------
-    # Message handling
+    # Vote rounds
     # ------------------------------------------------------------------
-    def _instance(self, cid: int) -> FastInstance:
-        instance = self.instances.get(cid)
-        if instance is None:
-            instance = FastInstance(cid)
-            self.instances[cid] = instance
-        return instance
+    def _new_instance(self, cid: int) -> FastInstance:
+        return FastInstance(cid)
 
-    def _phase_event(self, cid: int, phase: str,
-                     batch_hash: bytes | None) -> None:
-        rt = self.replica.runtime
-        if rt.observing:
-            rt.notify("consensus-phase", cid=cid, phase=phase,
-                      batch_hash=(batch_hash or b"").hex())
+    def _retire(self, instance: FastInstance) -> None:
+        instance.cancel_timer()
 
-    def _on_propose(self, src: int, msg: ProposeMsg) -> None:
-        replica = self.replica
-        if msg.cid <= replica.last_decided:
-            return
-        if msg.cid > replica.last_decided + replica.pipeline_window:
-            self.future_proposals[msg.cid] = (src, msg)
-            replica.arm_gap_check()
-            return
-        self._process_propose(src, msg)
-
-    def _process_propose(self, src: int, msg: ProposeMsg) -> None:
-        replica = self.replica
-        if src != replica.cv.leader(msg.regency):
-            return
-        if msg.regency != replica.regency:
-            return
-        unseen = [r for r in msg.batch if r.key not in replica.admitted]
-        if unseen:
-            replica.ingest_requests(unseen)
-        instance = self._instance(msg.cid)
+    def _on_proposal(self, instance: FastInstance, msg: ProposeMsg) -> None:
         if instance.decided:
             return
         if (instance.batch_hash is not None
@@ -325,11 +208,8 @@ class FastBftEngine(ConsensusEngine):
         instance.batch_hash = msg.batch_hash
         if first:
             self._phase_event(msg.cid, "proposed", msg.batch_hash)
-            if replica.active:
-                obs = replica.sim.obs
-                if obs.trace_pipeline:
-                    obs.trace_cid(replica.id, msg.cid, "write",
-                                  replica.sim.now)
+            if self.replica.active:
+                self._trace_vote(msg.cid)
                 self._send_vote(instance)
         # A lagging replica may hold a quorum of votes/commits that was
         # waiting only for the batch itself.
@@ -339,58 +219,23 @@ class FastBftEngine(ConsensusEngine):
         if instance.voted:
             return
         instance.voted = True
-        replica = self.replica
-        cid, regency = instance.cid, instance.regency or 0
-        batch_hash = instance.batch_hash
+        regency = instance.regency or 0
         # The value this replica vouches for: reported in STOPDATA so a
         # new leader must re-propose any possibly-decided value.
-        instance.writeset = (regency, batch_hash, instance.batch)
-        key = replica.consensus_key()
-        payload = hash_obj_cached(("fastvote", cid, batch_hash))
-
-        def signed() -> None:
-            if key.is_erased:
-                return
-            vote = FastVoteMsg(cid=cid, regency=regency,
-                               batch_hash=batch_hash,
-                               signature=key.sign(payload))
-            replica.broadcast_view(vote)
-        replica.charge_pool(replica.costs.crypto.sign_time, signed)
+        instance.writeset = (regency, instance.batch_hash, instance.batch)
+        self._sign_and_broadcast(FastVoteMsg, "fastvote", instance.cid,
+                                 regency, instance.batch_hash)
 
     def _on_vote(self, src: int, msg: FastVoteMsg) -> None:
-        self._tally(src, msg, "fastvote", self._count_vote)
+        self._verify_then_tally(src, msg, "fastvote", self._count_vote)
 
     def _on_commit(self, src: int, msg: FastCommitMsg) -> None:
-        self._tally(src, msg, "fastcommit", self._count_commit)
-
-    def _tally(self, src: int, msg, tag: str, count) -> None:
-        """Verify the signature on the pool, then tally the round."""
-        replica = self.replica
-        if msg.cid <= replica.last_decided:
-            return
-        if msg.signature is None:
-            return
-        public = replica.keydir.lookup(replica.cv.view_id, src)
-        if public is None:
-            return
-        payload = hash_obj_cached((tag, msg.cid, msg.batch_hash))
-
-        def verified() -> None:
-            if not replica.registry.verify(public, payload, msg.signature):
-                replica.trace.emit(replica.sim.now, f"bad-{tag}-signature",
-                                   replica=replica.id, src=src, cid=msg.cid)
-                return
-            if msg.cid <= replica.last_decided:
-                return
-            count(src, msg)
-        replica.charge_pool(replica.costs.crypto.verify_time, verified)
+        self._verify_then_tally(src, msg, "fastcommit", self._count_commit)
 
     def _count_vote(self, src: int, msg: FastVoteMsg) -> None:
         instance = self._instance(msg.cid)
-        if instance.decided:
-            return
         votes = instance.votes.setdefault(msg.batch_hash, {})
-        if src in votes:
+        if instance.decided or src in votes:
             return
         votes[src] = msg.signature
         self._maybe_decide(instance)
@@ -415,30 +260,17 @@ class FastBftEngine(ConsensusEngine):
         batch_hash = instance.batch_hash
         if batch_hash is None or not replica.active:
             return
-        votes = instance.votes.get(batch_hash, {})
-        if len(votes) < self.quorum(replica.cv.n):
+        if len(instance.votes.get(batch_hash, {})) < self.quorum(replica.cv.n):
             return
         instance.committed = True
-        cid, regency = instance.cid, instance.regency or 0
-        self._phase_event(cid, "committed", batch_hash)
-        key = replica.consensus_key()
-        payload = hash_obj_cached(("fastcommit", cid, batch_hash))
-
-        def signed() -> None:
-            if key.is_erased:
-                return
-            commit = FastCommitMsg(cid=cid, regency=regency,
-                                   batch_hash=batch_hash,
-                                   signature=key.sign(payload))
-            replica.broadcast_view(commit)
-        replica.charge_pool(replica.costs.crypto.sign_time, signed)
+        self._phase_event(instance.cid, "committed", batch_hash)
+        self._sign_and_broadcast(FastCommitMsg, "fastcommit", instance.cid,
+                                 instance.regency or 0, batch_hash)
 
     def _count_commit(self, src: int, msg: FastCommitMsg) -> None:
         instance = self._instance(msg.cid)
-        if instance.decided:
-            return
         commits = instance.commits.setdefault(msg.batch_hash, {})
-        if src in commits:
+        if instance.decided or src in commits:
             return
         commits[src] = msg.signature
         self._maybe_decide(instance)
@@ -465,15 +297,7 @@ class FastBftEngine(ConsensusEngine):
         else:
             self.slow_decisions += 1
         self._phase_event(instance.cid, "decided", batch_hash)
-        replica = self.replica
-        replica.handle_decision(Decision(
-            cid=instance.cid,
-            batch=instance.batch,
-            proof=proof,
-            batch_hash=batch_hash or b"",
-            regency=replica.regency,
-            decided_at=replica.sim.now,
-        ))
+        self._decide(instance, proof)
 
 
 register_engine("fastbft", FastBftEngine)

@@ -688,11 +688,6 @@ class ModSmartReplica:
         self._gap_timer = self.sim.schedule(
             self.config.request_timeout, self.guard(self._gap_check))
 
-    def kick_pending_proposals(self) -> None:
-        """Process the buffered proposal for the next cid, if any (decisions
-        may then cascade from already-tallied vote quorums)."""
-        self.engine.kick_pending()
-
     def _gap_check(self) -> None:
         self._gap_timer = None
         if self.engine.earliest_buffered() is None:

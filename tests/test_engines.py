@@ -15,15 +15,20 @@ import pytest
 from repro.bench.harness import Scenario, run
 from repro.consensus import (
     ConsensusEngine,
+    ConsensusInstance,
     EngineError,
     FastBftEngine,
     ModSmartEngine,
     create_engine,
     engine_names,
 )
+from repro.consensus.messages import ProposeMsg
+from repro.crypto.hashing import hash_obj
 from repro.faults.inject import FaultInjectionError
 from repro.faults.plan import BehaviorSpec, FaultPlan
 from repro.obs.audit import AuditError
+from repro.smr.requests import batch_digest
+from tests.helpers import make_cluster
 
 ENGINES = engine_names()
 
@@ -215,3 +220,55 @@ class TestPhaseValidation:
                                   faults=self._withhold(*phases),
                                   engine=engine))
             assert result.handle is not None
+
+
+# ----------------------------------------------------------------------
+# Catch-up drain: a long buffer of decidable proposals must not recurse
+# ----------------------------------------------------------------------
+class TestCatchUpDrain:
+    BUFFERED = 5_000
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_kick_pending_drains_a_long_buffer_iteratively(self, name):
+        """A replica back from a state transfer may hold thousands of
+        buffered proposals whose instances already tallied a deciding
+        quorum; one kick must decide them all in cid order without one
+        stack frame per proposal (the Fig. 7 joiner drained ~220)."""
+        sim, network, view, replicas, apps = make_cluster(engine=name)
+        replica, leader = replicas[1], view.members[0]
+        engine = replica.engine
+        quorum = getattr(engine, "fast_quorum", engine.quorum)(view.n)
+        batch_hash = batch_digest([])
+        for cid in range(self.BUFFERED):
+            msg = ProposeMsg(cid=cid, regency=0, batch=[],
+                             batch_hash=batch_hash, size=0)
+            engine.future_proposals[cid] = (leader, msg)
+            _hold_deciding_quorum(engine, replicas[:quorum], cid, batch_hash)
+        decided = []
+        handle_decision = replica.handle_decision
+
+        def record(decision):
+            decided.append(decision.cid)
+            handle_decision(decision)
+        replica.handle_decision = record
+
+        engine.kick_pending()
+
+        assert decided == list(range(self.BUFFERED))
+        assert replica.last_decided == self.BUFFERED - 1
+        assert engine.future_proposals == {}
+        assert engine.earliest_buffered() is None
+
+
+def _hold_deciding_quorum(engine, voters, cid, batch_hash):
+    """Tally the deciding round's votes for ``cid`` before its proposal
+    arrives: ACCEPTs under Mod-SMaRt, fast VOTEs under FastBFT."""
+    instance = engine._instance(cid)
+    accepts = isinstance(instance, ConsensusInstance)
+    payload = hash_obj(("accept" if accepts else "fastvote", cid, batch_hash))
+    for voter in voters:
+        signature = voter.consensus_key().sign(payload)
+        if accepts:
+            instance.on_accept(voter.id, batch_hash, signature)
+        else:
+            instance.votes.setdefault(batch_hash, {})[voter.id] = signature
