@@ -54,16 +54,20 @@ JOBS: dict[str, tuple[Row, ...]] = {
                      "crash-storm")),
     # Sharded multi-chain deployments (docs/sharding.md): an audited
     # 2-shard run with 10% cross-shard traffic must come out clean
-    # (per-shard safety and liveness auditors plus the cross-shard
-    # no-double-mint invariant), so must a crash storm scoped to shard 0,
-    # and the scaling sweep is gated against the committed baseline
-    # (including the >=1.7x two-shard speedup).
+    # (safety and liveness checked per shard, plus the no-double-mint
+    # invariant), so must a crash storm scoped to shard 0 and a bit-rot
+    # recovery on shard 1, whose log replay re-mints that replica's
+    # transfers, and the scaling sweep is gated against the committed
+    # baseline (including the >=1.7x two-shard speedup).
     "shard": (
         Row(_smartchain("--shards", "2", "--cross-shard-fraction", "0.1",
                         "--audit", "--audit-liveness",
                         clients=400, duration=2.5)),
         Row(_smartchain("--shards", "2", "--faults", "crash-storm-shard0",
                         "--audit", clients=400, duration=2.5), DEFAULT),
+        Row(_smartchain("--shards", "2", "--cross-shard-fraction", "0.1",
+                        "--faults", "bitrot-recovery-shard1", "--audit",
+                        clients=400, duration=2.5)),
         Row(("shards", "--check-against",
              "benchmarks/results/BENCH_shards.json"), DEFAULT),
     ),

@@ -40,6 +40,8 @@ from repro.crypto.keys import KeyRegistry
 from repro.net.network import Network
 from repro.obs import Observability, build_run_report
 from repro.obs.audit import SafetyAuditor
+from repro.obs.liveness import LivenessAuditor
+from repro.obs.recovery import RecoveryAuditor
 from repro.sim.engine import Simulator
 from repro.sim.trace import merge_stamps, op_window_rates, trimmed_mean
 from repro.smr.durability import DuraSmartDelivery
@@ -530,26 +532,17 @@ _BUILDERS: dict[str, Callable[[Simulator, Scenario, CostModel], _Built]] = {
 def _attach_auditors(scenario: Scenario, obs: Observability, plan: Any,
                      costs: CostModel) -> None:
     """Subscribe the auditors the scenario asks for; each registers itself
-    on ``obs`` (``obs.auditor`` / ``obs.liveness`` / ``obs.recovery``)."""
+    on ``obs`` (``obs.auditor`` / ``obs.liveness`` / ``obs.recovery``).
+    Every auditor checks each shard on its own: consensus ids, heights and
+    regencies restart per group."""
     from repro.core.multichain import shard_of_node
-    sharded = scenario.shards > 1
     if scenario.audit:
-        if sharded:
-            # One scoped safety auditor per shard (consensus ids and block
-            # heights restart per group, so one global auditor would flag
-            # phantom agreement violations), plus the cross-shard
-            # no-double-mint invariant over cert-redemption events.
-            from repro.obs.shard import (CrossShardAuditor, ShardAuditGroup,
-                                         ShardScopedSafetyAuditor)
-            auditor = ShardAuditGroup(
-                [ShardScopedSafetyAuditor(shard, shard_of_node)
-                 for shard in range(scenario.shards)],
-                cross=CrossShardAuditor())
-        else:
-            auditor = SafetyAuditor()
-        auditor.attach(obs)
+        # Recovery evidence rides the same event stream the safety auditor
+        # checks: every audited run also verifies that recovered replicas
+        # rejoin on the canonical chain (docs/faults.md).
+        SafetyAuditor(scope=shard_of_node).attach(obs)
+        RecoveryAuditor(scope=shard_of_node).attach(obs)
     if scenario.audit_liveness:
-        from repro.obs.liveness import LivenessAuditor
         # An explicit scenario field wins over the fault plan's hint,
         # which wins over the default.
         hints = plan.liveness if plan is not None else {}
@@ -559,24 +552,7 @@ def _attach_auditors(scenario: Scenario, obs: Observability, plan: Any,
                 ("bound", scenario.liveness_bound, 1.0),
                 ("gst", scenario.liveness_gst, costs.network.gst),
                 ("wedge_k", scenario.wedge_k, 4))}
-        if sharded:
-            # Per-shard regency timelines: shard 1's leader changes must
-            # not reset shard 0's wedge counter (and vice versa).
-            from repro.obs.shard import (ShardLivenessGroup,
-                                         ShardScopedLivenessAuditor)
-            liveness = ShardLivenessGroup(
-                [ShardScopedLivenessAuditor(shard, shard_of_node, **params)
-                 for shard in range(scenario.shards)])
-        else:
-            liveness = LivenessAuditor(**params)
-        liveness.attach(obs)
-    if scenario.audit:
-        # Recovery evidence rides the same event stream the safety auditor
-        # checks: every audited run also verifies that recovered replicas
-        # rejoin on the canonical chain (docs/faults.md).
-        from repro.obs.recovery import RecoveryAuditor
-        RecoveryAuditor(
-            scope=shard_of_node if sharded else None).attach(obs)
+        LivenessAuditor(scope=shard_of_node, **params).attach(obs)
 
 
 def _install_faults(plan: Any, scenario: Scenario, sim: Simulator,
@@ -695,8 +671,8 @@ def run(scenario: Scenario) -> ExperimentResult:
     When ``scenario.observe`` is set, the run records metrics, pipeline
     spans and resource utilization, and the result carries a machine-
     readable report (:attr:`ExperimentResult.report`).  When
-    ``scenario.audit`` is set, a :class:`~repro.obs.audit.SafetyAuditor`
-    checks the protocol event stream online and the run fails with
+    ``scenario.audit`` (or ``audit_liveness``) is set, auditors check the
+    protocol event stream online and the run fails with
     :class:`~repro.obs.audit.AuditError` on any invariant violation.
     """
     plan = None
@@ -728,13 +704,11 @@ def run(scenario: Scenario) -> ExperimentResult:
                       metrics=_collect(sim, built, caches))
     result.handle = RunHandle(scenario=scenario, sim=sim, obs=obs,
                               stations=built.stations, system=built.system)
-    if obs.liveness is not None:
-        # Flag still-unreplied requests against the horizon before the
-        # report snapshots the auditor's summary.
-        obs.liveness.finalize(scenario.duration)
+    for auditor in obs.auditors():
+        # Judge what only the horizon can tell (still-unreplied requests)
+        # before the report snapshots the summaries.
+        auditor.finalize(scenario.duration)
+        auditor.raise_if_violated()
     if scenario.observe:
         result.report = build_run_report(result, obs, scenario.duration)
-    for auditor in (obs.auditor, obs.liveness, obs.recovery):
-        if auditor is not None:
-            auditor.raise_if_violated()
     return result

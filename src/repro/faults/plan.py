@@ -426,6 +426,17 @@ NAMED_PLANS.update({
         crashes=(CrashSpec(node=2, at=1.0, recover_at=1.4,
                            repeat=2, period=1.0),),
     ),
+    # The same storm confined to shard 1 of a sharded deployment (node ids
+    # shard-relative, as in "crash-storm-shard0").  Shard 1 is where
+    # cross-shard transfers from shard 0 are minted, so the recovered
+    # replica's log replay redeems its transfer certificates again.
+    "bitrot-recovery-shard1": FaultPlan(
+        name="bitrot-recovery-shard1",
+        shard=1,
+        storage=(StorageFaultSpec(node=2, kind="bit-rot", at=0.8),),
+        crashes=(CrashSpec(node=2, at=1.0, recover_at=1.4,
+                           repeat=2, period=1.0),),
+    ),
     # Torn write: replica 1's next sync commits only a prefix of its group
     # before the replica crash-recovers.  Verified recovery must stop at
     # the resulting hole (cid/linkage gap) instead of replaying past it.

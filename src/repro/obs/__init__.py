@@ -19,15 +19,19 @@ Three concerns live here:
 - :mod:`repro.obs.report` — the machine-readable run report combining the
   above with per-resource busy fractions and network statistics.
 
-Four protocol-level concerns ride the same hook (``repro.obs`` v2):
+Protocol-level concerns ride the same hook (``repro.obs`` v2):
 
 - :mod:`repro.obs.events` — the typed, bounded protocol event stream
   (decide, view-change, persist-certificate, crash/recovery, ...);
-- :mod:`repro.obs.audit` — the online safety auditor subscribed to that
-  stream (agreement, no-fork, view monotonicity, 0-Persistence, the
-  forgetting invariant);
-- :mod:`repro.obs.liveness` — the online liveness auditor (bounded
-  post-GST request latency, wedge detection over the regency timeline);
+- :mod:`repro.obs.audit` — the auditor protocol (one :class:`~repro.obs
+  .audit.Auditor` base: attach or replay, scope by consensus group,
+  violations, summary) and the safety auditor subscribed to that stream
+  (agreement, no-fork, view monotonicity, 0-Persistence, the forgetting
+  invariant, no double mint);
+- :mod:`repro.obs.liveness` — the liveness auditor (bounded post-GST
+  request latency, wedge detection over the regency timeline);
+- :mod:`repro.obs.recovery` — the recovery auditor (a recovered replica
+  replays only the canonical chain);
 - :mod:`repro.obs.traceview` — Chrome trace-event export (Perfetto);
 - :mod:`repro.obs.compare` — bench-report regression diffing
   (``--check-against``).
@@ -105,18 +109,20 @@ class Observability:
         self.record_events = enabled if record_events is None else record_events
         #: The typed protocol event stream (repro.obs.events).
         self.events = EventLog(capacity=event_capacity)
-        #: The attached SafetyAuditor, if any (set by SafetyAuditor.attach).
+        #: The attached safety, liveness and recovery auditors, if any
+        #: (each set by its ``attach``; see :meth:`auditors`).
         self.auditor: Any = None
-        #: The attached LivenessAuditor, if any (set by
-        #: LivenessAuditor.attach).
         self.liveness: Any = None
-        #: The attached RecoveryAuditor, if any (set by
-        #: RecoveryAuditor.attach).
         self.recovery: Any = None
         #: Every Resource constructed on the owning simulator (self-registered).
         self.resources: list[Any] = []
         #: Every Network constructed on the owning simulator (self-registered).
         self.networks: list[Any] = []
+
+    def auditors(self) -> list[Any]:
+        """The attached auditors, in report order."""
+        return [auditor for auditor in (self.auditor, self.liveness,
+                                        self.recovery) if auditor is not None]
 
     # ------------------------------------------------------------------
     # Pipeline tracing helpers (guard with ``if obs.trace_pipeline:``)

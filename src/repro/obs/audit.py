@@ -1,15 +1,24 @@
-"""Online safety auditor for the protocol event stream.
+"""The auditor protocol, and the online safety auditor.
 
 The paper's core claims are protocol claims: no forks (Observation 3 /
 Section V-D), 0-Persistence after full crashes (Observation 2 / Section
-V-C), correct view change and key forgetting.  The auditor subscribes to
-the :class:`~repro.obs.events.EventLog` and checks every event as it is
+V-C), correct view change and key forgetting.  Every auditor subscribes to
+the :class:`~repro.obs.events.EventLog` and checks each event as it is
 emitted, so a violation is detected *at* the event that exposes it — the
-:class:`Violation` carries that event plus the cross-replica context that
-contradicts it.
+:class:`Violation` carries that event plus the context that contradicts it.
 
-Invariants
-----------
+The protocol (:class:`Auditor`)
+-------------------------------
+An auditor is a set of ``_on_<kind>(event, group)`` handlers over per-group
+state.  ``scope`` maps a node id to its consensus group (the harness passes
+:func:`repro.core.multichain.shard_of_node`); consensus ids and block
+heights restart in every group, so each group is checked on its own.
+Events with ``node < 0`` (network-wide faults) reach every group.  The same
+object audits a live run (:meth:`Auditor.attach`) or a recorded one
+(:meth:`Auditor.replay`).
+
+Safety invariants
+-----------------
 ``agreement``
     Two replicas never decide different batch hashes for the same
     consensus id (``decide`` events).
@@ -20,16 +29,20 @@ Invariants
 ``view-monotonicity``
     Installed view ids strictly increase per replica (``view-change``).
 ``persistence``
-    After a *full* crash (every known replica crashed), the recovered
-    group's best local chain still contains every certified block —
-    0-Persistence; a certified block that no recovering replica holds was
-    lost (``crash`` / ``recovering`` events).
+    After a *full* crash (every known replica of the group crashed), the
+    recovered group's best local chain still contains every certified
+    block — 0-Persistence; a certified block that no recovering replica
+    holds was lost (``crash`` / ``recovering`` events).
 ``retired-key``
     The forgetting invariant: no persist certificate for a block above a
     reconfiguration point carries a view older than the view in effect at
     that height — such a certificate could only have been signed with
     retired (erased) consensus keys (``reconfig`` / ``persist-certificate``
     events).
+``no-double-mint``
+    A cross-shard transfer certificate is redeemed at most once per
+    replica incarnation, at one value, and never presented again after
+    redemption (``cert-redeemed`` / ``cert-rejected`` events).
 
 ``SafetyAuditor(strict=True)`` raises :class:`AuditError` at the violating
 event; the default collects violations so the harness can fail the run at
@@ -39,16 +52,16 @@ the end with the complete list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, ClassVar, Iterable
 
-from repro.obs.events import CLIENT_KINDS, EventLog, ProtocolEvent
+from repro.obs.events import CLIENT_KINDS, EVENT_KINDS, ProtocolEvent
 
-__all__ = ["INVARIANTS", "Violation", "AuditError", "SafetyAuditor",
-           "audit_event_log"]
+__all__ = ["INVARIANTS", "Violation", "AuditError", "Auditor",
+           "SafetyAuditor"]
 
-#: Names of the invariants the auditor enforces.
+#: Names of the invariants the safety auditor enforces.
 INVARIANTS = ("agreement", "no-fork", "view-monotonicity", "persistence",
-              "retired-key")
+              "retired-key", "no-double-mint")
 
 
 @dataclass
@@ -85,76 +98,114 @@ class AuditError(Exception):
             f"{len(self.violations)} safety violation(s):\n  {lines}")
 
 
-class SafetyAuditor:
-    """Checks protocol events against the paper's safety invariants.
+def _one_group(node: int) -> int:
+    return 0
 
-    Attach to a run with :meth:`attach` (subscribes to ``obs.events`` and
-    forces event recording on), or feed events directly via
-    :meth:`on_event` / :meth:`ingest_chain` for offline sweeps.
+
+class Auditor:
+    """What every auditor shares: wiring, dispatch, scope, violations.
+
+    A subclass names its ``INVARIANTS``, the ``Observability`` attribute
+    :meth:`attach` claims (``SLOT``) and its run-report section
+    (``SECTION``); supplies ``GROUP``, the factory of one group's state;
+    and defines ``_on_<kind>(event, group)`` handlers (``-`` in a kind
+    becomes ``_``) plus the extra summary fields (:meth:`_summary_fields`).
+    Groups appear with their first handled event.
     """
 
-    def __init__(self, strict: bool = False):
+    INVARIANTS: ClassVar[tuple[str, ...]] = ()
+    SLOT: ClassVar[str] = ""
+    SECTION: ClassVar[str] = ""
+    GROUP: ClassVar[Callable[[], Any]] = dict
+    #: kind -> handler, built once per class.
+    _handlers: ClassVar[dict[str, Callable[..., None]]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {
+            kind: handler for kind in sorted(EVENT_KINDS)
+            if (handler := getattr(
+                cls, "_on_" + kind.replace("-", "_"), None)) is not None}
+
+    def __init__(self, strict: bool = False,
+                 scope: Callable[[int], int] | None = None):
         self.strict = strict
+        self.scope = scope or _one_group
         self.violations: list[Violation] = []
         self.events_checked = 0
-        # agreement: cid -> (batch_hash, first deciding node, event)
-        self._decided: dict[int, tuple[str, int, ProtocolEvent]] = {}
-        # no-fork: height -> (digest, first appending node, event)
-        self._blocks: dict[int, tuple[str, int, ProtocolEvent]] = {}
-        # persistence / no-fork: height -> (digest, cert view, event)
-        self._certified: dict[int, tuple[str, int, ProtocolEvent]] = {}
-        # view-monotonicity: node -> last installed view id
-        self._views: dict[int, int] = {}
-        # retired-key: (reconfig block number, view installed there)
-        self._view_from: list[tuple[int, int]] = []
-        # persistence: membership learned from the stream + crash tracking
-        self._known: set[int] = set()
-        self._crashed: set[int] = set()
-        self._epoch_nodes: frozenset[int] | None = None
-        self._epoch_required: dict[int, str] = {}
-        self._epoch_heights: dict[int, int] = {}
-        self._ingest_seq = 1_000_000_000  # synthetic seq for offline feeds
+        #: group key -> that group's state (a ``GROUP()``).
+        self.groups: dict[int, Any] = {}
+        self._group_of_node: dict[int, Any] = {}
+        self._broadcast: list[ProtocolEvent] = []
 
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def attach(self, obs: Any) -> "SafetyAuditor":
+    def attach(self, obs: Any) -> "Auditor":
         """Subscribe to a run's event stream (forces recording on)."""
         obs.record_events = True
         obs.events.subscribe(self.on_event)
-        obs.auditor = self
+        setattr(obs, self.SLOT, self)
+        return self
+
+    def replay(self, events: Iterable[ProtocolEvent],
+               horizon: float | None = None) -> "Auditor":
+        """Audit a recorded stream: feed it in ``(time, seq)`` order, then
+        :meth:`finalize` at ``horizon``."""
+        for event in sorted(events, key=lambda e: e.sort_key):
+            self.on_event(event)
+        return self.finalize(horizon)
+
+    def finalize(self, horizon: float | None) -> "Auditor":
+        """Judge what only the end of the run can tell (nothing, here)."""
         return self
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def summary(self) -> dict[str, Any]:
-        return {
-            "invariants": list(INVARIANTS),
-            "events_checked": self.events_checked,
-            "violations": [v.to_json() for v in self.violations],
-        }
-
     def raise_if_violated(self) -> None:
         if self.violations:
             raise AuditError(self.violations)
 
+    def summary(self) -> dict[str, Any]:
+        return {
+            "invariants": list(self.INVARIANTS),
+            "events_checked": self.events_checked,
+            **self._summary_fields(),
+            "violations": [v.to_json() for v in self.violations],
+        }
+
+    def _summary_fields(self) -> dict[str, Any]:
+        return {}
+
     # ------------------------------------------------------------------
-    # Event dispatch
+    # Dispatch
     # ------------------------------------------------------------------
+    def group(self, key: int) -> Any:
+        """Group ``key``'s state; a new group first sees the node-less
+        events so far, as if it had existed from the start."""
+        state = self.groups.get(key)
+        if state is None:
+            state = self.groups[key] = self.GROUP()
+            for event in self._broadcast:
+                self._handlers[event.kind](self, event, state)
+        return state
+
+    def group_of(self, node: int) -> Any:
+        state = self._group_of_node.get(node)
+        if state is None:
+            state = self._group_of_node[node] = self.group(self.scope(node))
+        return state
+
     def on_event(self, event: ProtocolEvent) -> None:
         self.events_checked += 1
-        if (event.kind != "reconfig" and event.kind not in CLIENT_KINDS
-                and event.node >= 0):
-            # Reconfig events may come from off-cluster submitters (the
-            # View Manager), fault-injection events from the harness
-            # itself (node -1), and request lifecycle events from client
-            # stations (node 9000+); everything else identifies a replica.
-            self._known.add(event.node)
-        handler = getattr(self, "_on_" + event.kind.replace("-", "_"), None)
-        if handler is not None:
-            handler(event)
+        handler = self._handlers.get(event.kind)
+        if handler is None:
+            return
+        if event.node >= 0:
+            handler(self, event, self.group_of(event.node))
+            return
+        self._broadcast.append(event)
+        for state in list(self.groups.values()):
+            handler(self, event, state)
 
     def _flag(self, invariant: str, message: str, event: ProtocolEvent,
               **context: Any) -> None:
@@ -164,17 +215,83 @@ class SafetyAuditor:
         if self.strict:
             raise AuditError([violation])
 
+
+#: Kinds whose ``node`` is not a replica of the group: reconfig events may
+#: come from off-cluster submitters (the View Manager), request lifecycle
+#: events from client stations (node 9000+).
+_NON_REPLICA_KINDS = CLIENT_KINDS | {"reconfig"}
+
+
+@dataclass
+class _SafetyGroup:
+    """One consensus group's safety bookkeeping."""
+
+    #: agreement: cid -> (batch_hash, first deciding node, event)
+    decided: dict[int, tuple[str, int, ProtocolEvent]] = field(
+        default_factory=dict)
+    #: no-fork: height -> (digest, first appending node, event)
+    blocks: dict[int, tuple[str, int, ProtocolEvent]] = field(
+        default_factory=dict)
+    #: persistence / no-fork: height -> (digest, cert view, event)
+    certified: dict[int, tuple[str, int, ProtocolEvent]] = field(
+        default_factory=dict)
+    #: view-monotonicity: node -> last installed view id
+    views: dict[int, int] = field(default_factory=dict)
+    #: retired-key: (reconfig block number, view installed there)
+    view_from: list[tuple[int, int]] = field(default_factory=list)
+    #: persistence: membership learned from the stream + crash tracking
+    known: set[int] = field(default_factory=set)
+    crashed: set[int] = field(default_factory=set)
+    epoch_nodes: frozenset[int] | None = None
+    epoch_required: dict[int, str] = field(default_factory=dict)
+    epoch_heights: dict[int, int] = field(default_factory=dict)
+    #: no-double-mint: node -> {xfer: first redemption this incarnation}
+    redeemed: dict[int, dict[str, ProtocolEvent]] = field(
+        default_factory=dict)
+    #: no-double-mint: xfer -> minted value (must agree across replicas)
+    minted: dict[str, int] = field(default_factory=dict)
+    #: transfers already flagged (one violation per transfer)
+    flagged: set[str] = field(default_factory=set)
+
+
+class SafetyAuditor(Auditor):
+    """Checks protocol events against the paper's safety invariants.
+
+    Attach to a run with :meth:`attach`, replay a recorded log with
+    :meth:`replay`, or feed a chain through :meth:`ingest_chain`.
+    """
+
+    INVARIANTS = INVARIANTS
+    SLOT = "auditor"
+    SECTION = "audit"
+    GROUP = _SafetyGroup
+
+    def __init__(self, strict: bool = False,
+                 scope: Callable[[int], int] | None = None):
+        super().__init__(strict=strict, scope=scope)
+        self._ingest_seq = 1_000_000_000  # synthetic seq for offline feeds
+
+    def on_event(self, event: ProtocolEvent) -> None:
+        if event.node >= 0 and event.kind not in _NON_REPLICA_KINDS:
+            self.group_of(event.node).known.add(event.node)
+        super().on_event(event)
+
+    def _summary_fields(self) -> dict[str, Any]:
+        return {"shards": len(self.groups),
+                "transfers_redeemed": sum(len(group.minted)
+                                          for group in self.groups.values())}
+
     # ------------------------------------------------------------------
     # agreement
     # ------------------------------------------------------------------
-    def _on_decide(self, event: ProtocolEvent) -> None:
+    def _on_decide(self, event: ProtocolEvent, group: _SafetyGroup) -> None:
         cid = event.fields.get("cid")
         batch_hash = event.fields.get("batch_hash")
         if cid is None or batch_hash is None:
             return
-        seen = self._decided.get(cid)
+        seen = group.decided.get(cid)
         if seen is None:
-            self._decided[cid] = (batch_hash, event.node, event)
+            group.decided[cid] = (batch_hash, event.node, event)
         elif seen[0] != batch_hash:
             self._flag(
                 "agreement",
@@ -186,14 +303,15 @@ class SafetyAuditor:
     # ------------------------------------------------------------------
     # no-fork
     # ------------------------------------------------------------------
-    def _on_block_append(self, event: ProtocolEvent) -> None:
+    def _on_block_append(self, event: ProtocolEvent,
+                         group: _SafetyGroup) -> None:
         number = event.fields.get("block")
         digest = event.fields.get("digest")
         if number is None or digest is None:
             return
-        seen = self._blocks.get(number)
+        seen = group.blocks.get(number)
         if seen is None:
-            self._blocks[number] = (digest, event.node, event)
+            group.blocks[number] = (digest, event.node, event)
         elif seen[0] != digest:
             self._flag(
                 "no-fork",
@@ -201,7 +319,7 @@ class SafetyAuditor:
                 f"{digest[:16]}… but node {seen[1]} holds {seen[0][:16]}…",
                 event, block=number, first_node=seen[1],
                 first_digest=seen[0], conflicting_digest=digest)
-        certified = self._certified.get(number)
+        certified = group.certified.get(number)
         if certified is not None and certified[0] != digest:
             self._flag(
                 "no-fork",
@@ -213,46 +331,52 @@ class SafetyAuditor:
     # ------------------------------------------------------------------
     # view-monotonicity
     # ------------------------------------------------------------------
-    def _on_view_change(self, event: ProtocolEvent) -> None:
+    def _on_view_change(self, event: ProtocolEvent,
+                        group: _SafetyGroup) -> None:
         view = event.fields.get("view")
         if view is None:
             return
-        last = self._views.get(event.node)
+        last = group.views.get(event.node)
         if last is not None and view <= last:
             self._flag(
                 "view-monotonicity",
                 f"node {event.node} installed view {view} after view {last}",
                 event, previous_view=last, installed_view=view)
         else:
-            self._views[event.node] = view
+            group.views[event.node] = view
 
     # ------------------------------------------------------------------
     # retired-key (forgetting invariant) + certificate bookkeeping
     # ------------------------------------------------------------------
-    def _on_reconfig(self, event: ProtocolEvent) -> None:
+    def _on_reconfig(self, event: ProtocolEvent, group: _SafetyGroup) -> None:
         if event.fields.get("op") != "install":
             return
         block = event.fields.get("block")
         view = event.fields.get("view")
         if block is not None and view is not None:
-            self._view_from.append((block, view))
+            group.view_from.append((block, view))
 
-    def view_at_height(self, number: int) -> int:
+    def view_at_height(self, number: int, group: int = 0) -> int:
         """The view in whose keys a certificate at ``number`` must be signed
         (the view installed by the newest reconfiguration block *below*)."""
+        return self._view_at(self.group(group), number)
+
+    @staticmethod
+    def _view_at(group: _SafetyGroup, number: int) -> int:
         view = 0
-        for reconfig_block, installed in self._view_from:
+        for reconfig_block, installed in group.view_from:
             if number > reconfig_block:
                 view = max(view, installed)
         return view
 
-    def _on_persist_certificate(self, event: ProtocolEvent) -> None:
+    def _on_persist_certificate(self, event: ProtocolEvent,
+                                group: _SafetyGroup) -> None:
         number = event.fields.get("block")
         digest = event.fields.get("digest")
         view = event.fields.get("view")
         if number is None or digest is None:
             return
-        expected_view = self.view_at_height(number)
+        expected_view = self._view_at(group, number)
         if view is not None and view < expected_view:
             self._flag(
                 "retired-key",
@@ -262,10 +386,10 @@ class SafetyAuditor:
                 f"protocol",
                 event, block=number, certificate_view=view,
                 expected_view=expected_view)
-        seen = self._certified.get(number)
+        seen = group.certified.get(number)
         if seen is None:
-            self._certified[number] = (digest, view if view is not None else 0,
-                                       event)
+            group.certified[number] = (digest, view if view is not None
+                                       else 0, event)
         elif seen[0] != digest:
             self._flag(
                 "no-fork",
@@ -273,7 +397,7 @@ class SafetyAuditor:
                 f"digests",
                 event, block=number, first_digest=seen[0],
                 conflicting_digest=digest)
-        held = self._blocks.get(number)
+        held = group.blocks.get(number)
         if held is not None and held[0] != digest:
             self._flag(
                 "no-fork",
@@ -285,29 +409,34 @@ class SafetyAuditor:
     # ------------------------------------------------------------------
     # persistence (0-Persistence after a full crash)
     # ------------------------------------------------------------------
-    def _on_crash(self, event: ProtocolEvent) -> None:
-        self._crashed.add(event.node)
-        if self._known and self._crashed >= self._known:
+    def _on_crash(self, event: ProtocolEvent, group: _SafetyGroup) -> None:
+        # A recovered replica rebuilds its app and replays its log, which
+        # redeems every logged transfer again: no-double-mint holds per
+        # incarnation.
+        group.redeemed.pop(event.node, None)
+        group.crashed.add(event.node)
+        if group.known and group.crashed >= group.known:
             # Full crash: every replica the stream knows about is down.
             # Snapshot what 0-Persistence owes the group on the way back up.
-            self._epoch_nodes = frozenset(self._crashed)
-            self._epoch_required = {number: digest for number, (digest, _v, _e)
-                                    in self._certified.items()}
-            self._epoch_heights = {}
+            group.epoch_nodes = frozenset(group.crashed)
+            group.epoch_required = {number: digest for number, (digest, _v, _e)
+                                    in group.certified.items()}
+            group.epoch_heights = {}
 
-    def _on_recovering(self, event: ProtocolEvent) -> None:
-        self._crashed.discard(event.node)
-        if self._epoch_nodes is None or event.node not in self._epoch_nodes:
+    def _on_recovering(self, event: ProtocolEvent,
+                       group: _SafetyGroup) -> None:
+        group.crashed.discard(event.node)
+        if group.epoch_nodes is None or event.node not in group.epoch_nodes:
             return
         height = event.fields.get("height")
         if height is None:
             return
-        self._epoch_heights[event.node] = height
-        if set(self._epoch_heights) < self._epoch_nodes:
+        group.epoch_heights[event.node] = height
+        if set(group.epoch_heights) < group.epoch_nodes:
             return
         # Every replica of the full-crash epoch reloaded its stable state.
-        group_max = max(self._epoch_heights.values())
-        lost = sorted(number for number in self._epoch_required
+        group_max = max(group.epoch_heights.values())
+        lost = sorted(number for number in group.epoch_required
                       if number > group_max)
         if lost:
             self._flag(
@@ -315,14 +444,62 @@ class SafetyAuditor:
                 f"full-crash recovery lost certified block(s) {lost}: best "
                 f"recovered height is {group_max}",
                 event, lost_blocks=lost, group_max_height=group_max,
-                certified_max=max(self._epoch_required),
-                recovered_heights=dict(sorted(self._epoch_heights.items())))
-        self._epoch_nodes = None
-        self._epoch_required = {}
-        self._epoch_heights = {}
+                certified_max=max(group.epoch_required),
+                recovered_heights=dict(sorted(group.epoch_heights.items())))
+        group.epoch_nodes = None
+        group.epoch_required = {}
+        group.epoch_heights = {}
 
-    def _on_recover(self, event: ProtocolEvent) -> None:
-        self._crashed.discard(event.node)
+    def _on_recover(self, event: ProtocolEvent, group: _SafetyGroup) -> None:
+        group.crashed.discard(event.node)
+
+    # ------------------------------------------------------------------
+    # no-double-mint
+    # ------------------------------------------------------------------
+    def _on_cert_redeemed(self, event: ProtocolEvent,
+                          group: _SafetyGroup) -> None:
+        xfer = event.fields.get("xfer")
+        value = event.fields.get("value")
+        redeemed = group.redeemed.setdefault(event.node, {})
+        first = redeemed.get(xfer)
+        if first is not None:
+            # The replicated mint is deterministic: a repeat within one
+            # incarnation means replay protection failed.
+            self._flag_transfer(
+                group, xfer,
+                f"transfer {xfer} redeemed twice on node {event.node} "
+                f"(first at t={first.time:.6f})",
+                event, xfer=xfer, node=event.node, first_time=first.time)
+            return
+        redeemed[xfer] = event
+        known = group.minted.setdefault(xfer, value)
+        if known != value:
+            self._flag_transfer(
+                group, xfer,
+                f"transfer {xfer} minted value {value} on node "
+                f"{event.node} but {known} elsewhere",
+                event, xfer=xfer, value=value, expected=known)
+
+    def _on_cert_rejected(self, event: ProtocolEvent,
+                          group: _SafetyGroup) -> None:
+        if not event.fields.get("replay"):
+            return  # malformed/forged certificates are rejected, not flagged
+        # A client presented an already-redeemed certificate: refused, but
+        # a fault-free run never produces one.
+        xfer = event.fields.get("xfer")
+        self._flag_transfer(
+            group, xfer,
+            f"transfer {xfer} presented again after redemption "
+            f"(double-mint attempt refused by node {event.node})",
+            event, xfer=xfer, reason=event.fields.get("reason"))
+
+    def _flag_transfer(self, group: _SafetyGroup, xfer: str, message: str,
+                       event: ProtocolEvent, /, **context: Any) -> None:
+        """One violation per transfer: a misbehaving presentation reaches
+        all n replicas."""
+        if xfer not in group.flagged:
+            group.flagged.add(xfer)
+            self._flag("no-double-mint", message, event, **context)
 
     # ------------------------------------------------------------------
     # Offline sweep: feed a chain through the same invariant path
@@ -351,11 +528,3 @@ class SafetyAuditor:
                               node=node, fields=fields)
         self._ingest_seq += 1
         return event
-
-
-def audit_event_log(log: EventLog, strict: bool = False) -> SafetyAuditor:
-    """Run the auditor over an already-recorded event log."""
-    auditor = SafetyAuditor(strict=strict)
-    for event in sorted(log, key=lambda e: e.sort_key):
-        auditor.on_event(event)
-    return auditor

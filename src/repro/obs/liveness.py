@@ -33,23 +33,51 @@ Beyond pass/fail, the auditor aggregates the run's liveness story for the
 JSON report (:meth:`summary`): the regency timeline (when each regency was
 installed, by which leader, under which timeout, and how many decisions it
 made) and per-regency latency attribution (each reply attributed to the
-regency in charge when it completed).
+regency in charge when it completed).  Both are kept per consensus group
+(``scope``, see :class:`~repro.obs.audit.Auditor`): stations are
+shard-homed, so a request is judged against its home shard's regencies, and
+one shard's decisions never reset another's wedge counter.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
-from repro.obs.audit import AuditError, Violation
-from repro.obs.events import EventLog, ProtocolEvent
+from repro.obs.audit import Auditor
+from repro.obs.events import ProtocolEvent
 
-__all__ = ["LIVENESS_INVARIANTS", "LivenessAuditor", "audit_liveness_log"]
+__all__ = ["LIVENESS_INVARIANTS", "LivenessAuditor"]
 
 #: Names of the invariants the liveness auditor enforces.
 LIVENESS_INVARIANTS = ("bounded-latency", "no-wedge")
 
 
-class LivenessAuditor:
+def _genesis_timeline() -> list[dict[str, Any]]:
+    return [{"regency": 0, "installed_at": 0.0, "leader": 0,
+             "timeout": None, "decisions": 0}]
+
+
+@dataclass
+class _LivenessGroup:
+    """One consensus group's request lifecycles and regency timeline."""
+
+    #: (client, req) -> submit time
+    outstanding: dict[tuple[int, int], float] = field(default_factory=dict)
+    #: One entry per installed regency (the first replica to install it
+    #: creates the entry).
+    timeline: list[dict[str, Any]] = field(default_factory=_genesis_timeline)
+    seen_regencies: set[int] = field(default_factory=lambda: {0})
+    #: Wedge detection: unique decided cids, and consecutive regency
+    #: changes without a fresh decision in between.
+    decided_cids: set[int] = field(default_factory=set)
+    changes_without_progress: int = 0
+    wedge_flagged: bool = False
+    #: Replies bucketed by the regency in charge when they completed.
+    latency_by_regency: dict[int, list[float]] = field(default_factory=dict)
+
+
+class LivenessAuditor(Auditor):
     """Tracks request lifecycles and regency churn against a liveness spec.
 
     Parameters
@@ -70,84 +98,30 @@ class LivenessAuditor:
     max_flagged:
         Cap on ``bounded-latency`` Violation records kept (the total count
         is tallied regardless).
+    scope:
+        Node id -> consensus group (see :class:`~repro.obs.audit.Auditor`).
     """
+
+    INVARIANTS = LIVENESS_INVARIANTS
+    SLOT = "liveness"
+    SECTION = "liveness"
+    GROUP = _LivenessGroup
 
     def __init__(self, bound: float = 1.0, gst: float = 0.0,
                  wedge_k: int = 4, strict: bool = False,
-                 max_flagged: int = 10):
+                 max_flagged: int = 10,
+                 scope: Callable[[int], int] | None = None):
+        super().__init__(strict=strict, scope=scope)
         self.bound = float(bound)
         self.gst = float(gst)
         self.wedge_k = int(wedge_k)
-        self.strict = strict
         self.max_flagged = max_flagged
-        self.violations: list[Violation] = []
-        self.events_checked = 0
-        self.finalized = False
-        # Request lifecycle: key -> submit time / (submit, reply) times.
-        self._outstanding: dict[tuple[int, int], float] = {}
         self._submitted = 0
         self._replied = 0
         self._late_replies = 0   # total past-deadline replies (capped flags)
         self._late_outstanding = 0
         self._max_latency = 0.0
-        # Regency timeline: one entry per installed regency, cluster-wide
-        # (the first replica to install it creates the entry).
-        self._timeline: list[dict[str, Any]] = [
-            {"regency": 0, "installed_at": 0.0, "leader": 0,
-             "timeout": None, "decisions": 0}]
-        self._seen_regencies = {0}
-        # Wedge detection: unique decided cids, and consecutive regency
-        # changes without a fresh decision in between.
-        self._decided_cids: set[int] = set()
-        self._changes_without_progress = 0
-        self._wedge_flagged = False
-        # Per-regency latency attribution (replies bucketed by the regency
-        # in charge when they completed).
-        self._latency_by_regency: dict[int, list[float]] = {}
         self._watchdog_fires = 0
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def attach(self, obs: Any) -> "LivenessAuditor":
-        """Subscribe to a run's event stream (forces recording on)."""
-        obs.record_events = True
-        obs.events.subscribe(self.on_event)
-        obs.liveness = self
-        return self
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def raise_if_violated(self) -> None:
-        if self.violations:
-            raise AuditError(self.violations)
-
-    # ------------------------------------------------------------------
-    # Event dispatch
-    # ------------------------------------------------------------------
-    def on_event(self, event: ProtocolEvent) -> None:
-        self.events_checked += 1
-        kind = event.kind
-        if kind == "request-submitted":
-            self._on_submit(event)
-        elif kind == "request-replied":
-            self._on_reply(event)
-        elif kind == "decide":
-            self._on_decide(event)
-        elif kind == "leader-change":
-            self._on_leader_change(event)
-        elif kind == "watchdog-fired":
-            self._watchdog_fires += 1
-
-    def _flag(self, invariant: str, message: str, event: ProtocolEvent,
-              **context: Any) -> None:
-        violation = Violation(invariant=invariant, message=message,
-                              event=event, context=context)
-        self.violations.append(violation)
-        if self.strict:
-            raise AuditError([violation])
 
     def _deadline(self, submitted: float) -> float:
         return max(submitted, self.gst) + self.bound
@@ -155,26 +129,28 @@ class LivenessAuditor:
     # ------------------------------------------------------------------
     # Request lifecycle
     # ------------------------------------------------------------------
-    def _on_submit(self, event: ProtocolEvent) -> None:
+    def _on_request_submitted(self, event: ProtocolEvent,
+                              group: _LivenessGroup) -> None:
         client = event.fields.get("client")
         req = event.fields.get("req")
         if client is None or req is None:
             return
         self._submitted += 1
-        self._outstanding[(client, req)] = event.time
+        group.outstanding[(client, req)] = event.time
 
-    def _on_reply(self, event: ProtocolEvent) -> None:
+    def _on_request_replied(self, event: ProtocolEvent,
+                            group: _LivenessGroup) -> None:
         client = event.fields.get("client")
         req = event.fields.get("req")
-        submitted = self._outstanding.pop((client, req), None)
+        submitted = group.outstanding.pop((client, req), None)
         if submitted is None:
             return
         self._replied += 1
         latency = event.time - submitted
         if latency > self._max_latency:
             self._max_latency = latency
-        regency = self._timeline[-1]["regency"]
-        self._latency_by_regency.setdefault(regency, []).append(latency)
+        regency = group.timeline[-1]["regency"]
+        group.latency_by_regency.setdefault(regency, []).append(latency)
         deadline = self._deadline(submitted)
         if event.time > deadline:
             self._late_replies += 1
@@ -192,107 +168,111 @@ class LivenessAuditor:
     # ------------------------------------------------------------------
     # Regency churn / wedge detection
     # ------------------------------------------------------------------
-    def _on_decide(self, event: ProtocolEvent) -> None:
+    def _on_decide(self, event: ProtocolEvent, group: _LivenessGroup) -> None:
         cid = event.fields.get("cid")
-        if cid is None or cid in self._decided_cids:
+        if cid is None or cid in group.decided_cids:
             return
-        self._decided_cids.add(cid)
-        self._changes_without_progress = 0
-        self._wedge_flagged = False
-        self._timeline[-1]["decisions"] += 1
+        group.decided_cids.add(cid)
+        group.changes_without_progress = 0
+        group.wedge_flagged = False
+        group.timeline[-1]["decisions"] += 1
 
-    def _on_leader_change(self, event: ProtocolEvent) -> None:
+    def _on_leader_change(self, event: ProtocolEvent,
+                          group: _LivenessGroup) -> None:
         regency = event.fields.get("regency")
-        if regency is None or regency in self._seen_regencies:
+        if regency is None or regency in group.seen_regencies:
             return  # later replicas installing the same regency
-        self._seen_regencies.add(regency)
-        self._timeline.append({
+        group.seen_regencies.add(regency)
+        group.timeline.append({
             "regency": regency,
             "installed_at": event.time,
             "leader": event.fields.get("leader"),
             "timeout": event.fields.get("timeout"),
             "decisions": 0,
         })
-        self._changes_without_progress += 1
-        if (self._changes_without_progress >= self.wedge_k
-                and not self._wedge_flagged):
-            self._wedge_flagged = True
-            first = self._timeline[-self._changes_without_progress]
+        group.changes_without_progress += 1
+        changes = group.changes_without_progress
+        if changes >= self.wedge_k and not group.wedge_flagged:
+            group.wedge_flagged = True
+            first = group.timeline[-changes]
             self._flag(
                 "no-wedge",
-                f"{self._changes_without_progress} consecutive regency "
+                f"{changes} consecutive regency "
                 f"changes (r{first['regency']}..r{regency}) with zero "
                 f"decisions in between (wedge_k={self.wedge_k}) — the "
                 f"synchronizer is livelocked",
                 event, first_regency=first["regency"],
-                last_regency=regency,
-                changes=self._changes_without_progress)
+                last_regency=regency, changes=changes)
+
+    def _on_watchdog_fired(self, event: ProtocolEvent,
+                           group: _LivenessGroup) -> None:
+        self._watchdog_fires += 1
 
     # ------------------------------------------------------------------
     # End of run
     # ------------------------------------------------------------------
-    def finalize(self, horizon: float) -> "LivenessAuditor":
+    def finalize(self, horizon: float | None) -> "LivenessAuditor":
         """Judge still-outstanding requests against the run's horizon.
 
         A request whose deadline lies beyond the horizon is not a
-        violation — the run simply ended too early to tell.
+        violation — the run simply ended too early to tell; with no
+        horizon, none is judged.
         """
-        self.finalized = True
-        for key, submitted in sorted(self._outstanding.items(),
-                                     key=lambda item: (item[1], item[0])):
-            deadline = self._deadline(submitted)
-            if horizon <= deadline:
-                continue
-            self._late_outstanding += 1
-            if len(self.violations) < self.max_flagged:
-                event = ProtocolEvent(
-                    time=horizon, seq=-1, kind="request-submitted",
-                    node=-1, fields={"client": key[0], "req": key[1]})
-                self._flag(
-                    "bounded-latency",
-                    f"request {key} submitted at t={submitted:.3f} still "
-                    f"outstanding at the horizon t={horizon:.3f} "
-                    f"(deadline was t={deadline:.3f})",
-                    event, client=key[0], req=key[1], submitted=submitted,
-                    deadline=deadline)
+        if horizon is None:
+            return self
+        for key in sorted(self.groups):
+            outstanding = self.groups[key].outstanding
+            for request, submitted in sorted(
+                    outstanding.items(), key=lambda item: (item[1], item[0])):
+                deadline = self._deadline(submitted)
+                if horizon <= deadline:
+                    continue
+                self._late_outstanding += 1
+                if len(self.violations) < self.max_flagged:
+                    event = ProtocolEvent(
+                        time=horizon, seq=-1, kind="request-submitted",
+                        node=-1,
+                        fields={"client": request[0], "req": request[1]})
+                    self._flag(
+                        "bounded-latency",
+                        f"request {request} submitted at t={submitted:.3f} "
+                        f"still outstanding at the horizon "
+                        f"t={horizon:.3f} (deadline was t={deadline:.3f})",
+                        event, client=request[0], req=request[1],
+                        submitted=submitted, deadline=deadline)
         return self
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def summary(self) -> dict[str, Any]:
-        latency_by_regency = {}
-        for regency in sorted(self._latency_by_regency):
-            samples = self._latency_by_regency[regency]
-            latency_by_regency[str(regency)] = {
-                "count": len(samples),
-                "mean_s": sum(samples) / len(samples),
-                "max_s": max(samples),
-            }
+    def _summary_fields(self) -> dict[str, Any]:
+        timeline: list[dict[str, Any]] = []
+        latency_by_regency: dict[str, dict[str, float]] = {}
+        for key in sorted(self.groups):
+            group = self.groups[key]
+            timeline += [{"shard": key, **entry} for entry in group.timeline]
+            for regency in sorted(group.latency_by_regency):
+                samples = group.latency_by_regency[regency]
+                latency_by_regency[f"s{key}/r{regency}"] = {
+                    "count": len(samples),
+                    "mean_s": sum(samples) / len(samples),
+                    "max_s": max(samples),
+                }
         return {
-            "invariants": list(LIVENESS_INVARIANTS),
             "bound_s": self.bound,
             "gst_s": self.gst,
             "wedge_k": self.wedge_k,
-            "events_checked": self.events_checked,
+            "shards": len(self.groups),
             "submitted": self._submitted,
             "replied": self._replied,
-            "outstanding": len(self._outstanding),
+            "outstanding": sum(len(group.outstanding)
+                               for group in self.groups.values()),
             "max_latency_s": self._max_latency,
             "late_replies": self._late_replies,
             "late_outstanding": self._late_outstanding,
             "watchdog_fires": self._watchdog_fires,
-            "regency_changes": len(self._timeline) - 1,
-            "regency_timeline": [dict(entry) for entry in self._timeline],
+            "regency_changes": sum(len(group.timeline) - 1
+                                   for group in self.groups.values()),
+            "regency_timeline": timeline,
             "latency_by_regency": latency_by_regency,
-            "violations": [v.to_json() for v in self.violations],
         }
-
-
-def audit_liveness_log(log: EventLog, horizon: float, bound: float = 1.0,
-                       gst: float = 0.0, wedge_k: int = 4) -> LivenessAuditor:
-    """Run the liveness auditor over an already-recorded event log."""
-    auditor = LivenessAuditor(bound=bound, gst=gst, wedge_k=wedge_k)
-    for event in sorted(log, key=lambda e: e.sort_key):
-        auditor.on_event(event)
-    return auditor.finalize(horizon)

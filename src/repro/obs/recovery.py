@@ -32,36 +32,31 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.obs.audit import AuditError, Violation
+from repro.obs.audit import Auditor
 from repro.obs.events import ProtocolEvent
 
-__all__ = ["RECOVERY_INVARIANTS", "RecoveryAuditor", "audit_recovery_log"]
+__all__ = ["RECOVERY_INVARIANTS", "RecoveryAuditor"]
 
 #: Names of the invariants the recovery auditor enforces.
 RECOVERY_INVARIANTS = ("recovery-divergence", "phantom-replay")
 
 
-class RecoveryAuditor:
+class RecoveryAuditor(Auditor):
     """Checks recovery evidence against the canonical decision stream.
 
-    Attach to a run with :meth:`attach` (subscribes to ``obs.events`` and
-    forces event recording on), or feed events directly via
-    :meth:`on_event` for offline sweeps.  ``scope`` maps a node id to its
-    consensus group (shard), so sharded runs compare a recovery only
-    against its own shard's decisions; the default places every node in
-    one group.
+    A group's state is its canonical decisions (cid -> batch hash hex from
+    ``decide`` events), so a recovery is compared only against its own
+    shard's decisions.
     """
 
     INVARIANTS = RECOVERY_INVARIANTS
+    SLOT = "recovery"
+    SECTION = "recovery"
+    GROUP = dict
 
     def __init__(self, strict: bool = False,
                  scope: Callable[[int], int] | None = None):
-        self.strict = strict
-        self.scope = scope or (lambda node: 0)
-        self.violations: list[Violation] = []
-        self.events_checked = 0
-        # (group, cid) -> canonical batch hash hex from decide events.
-        self._decided: dict[tuple[int, int], str] = {}
+        super().__init__(strict=strict, scope=scope)
         # Health tallies.
         self.recoveries_seen = 0
         self.recoveries_verified = 0
@@ -71,24 +66,8 @@ class RecoveryAuditor:
         self.disk_degraded = 0
         self.replayed_checked = 0
 
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def attach(self, obs: Any) -> "RecoveryAuditor":
-        """Subscribe to a run's event stream (forces recording on)."""
-        obs.record_events = True
-        obs.events.subscribe(self.on_event)
-        obs.recovery = self
-        return self
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> dict[str, Any]:
+    def _summary_fields(self) -> dict[str, Any]:
         return {
-            "invariants": list(self.INVARIANTS),
-            "events_checked": self.events_checked,
             "recoveries_seen": self.recoveries_seen,
             "recoveries_verified": self.recoveries_verified,
             "replayed_checked": self.replayed_checked,
@@ -96,44 +75,19 @@ class RecoveryAuditor:
             "snapshots_rejected": self.snapshots_rejected,
             "fallbacks": self.fallbacks,
             "disk_degraded": self.disk_degraded,
-            "violations": [v.to_json() for v in self.violations],
         }
-
-    def raise_if_violated(self) -> None:
-        if self.violations:
-            raise AuditError(self.violations)
-
-    # ------------------------------------------------------------------
-    # Event dispatch
-    # ------------------------------------------------------------------
-    def on_event(self, event: ProtocolEvent) -> None:
-        handler = getattr(
-            self, "_on_" + event.kind.replace("-", "_"), None)
-        if handler is None:
-            return
-        self.events_checked += 1
-        handler(event)
-
-    def _flag(self, invariant: str, message: str, event: ProtocolEvent,
-              **context: Any) -> None:
-        violation = Violation(invariant, message, event, context)
-        self.violations.append(violation)
-        if self.strict:
-            raise AuditError([violation])
 
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _on_decide(self, event: ProtocolEvent) -> None:
-        key = (self.scope(event.node), event.fields["cid"])
-        self._decided.setdefault(key, event.fields["batch_hash"])
+    def _on_decide(self, event: ProtocolEvent, decided: dict) -> None:
+        decided.setdefault(event.fields["cid"], event.fields["batch_hash"])
 
-    def _on_recovering(self, event: ProtocolEvent) -> None:
+    def _on_recovering(self, event: ProtocolEvent, decided: dict) -> None:
         self.recoveries_seen += 1
-        group = self.scope(event.node)
         for cid, digest in event.fields.get("replayed", ()):
             self.replayed_checked += 1
-            canonical = self._decided.get((group, cid))
+            canonical = decided.get(cid)
             if canonical is None:
                 self._flag(
                     "phantom-replay",
@@ -149,26 +103,18 @@ class RecoveryAuditor:
                     event, cid=cid, replayed_hash=digest,
                     decided_hash=canonical)
 
-    def _on_recovery_verified(self, event: ProtocolEvent) -> None:
+    def _on_recovery_verified(self, event: ProtocolEvent, _: dict) -> None:
         self.recoveries_verified += 1
 
-    def _on_log_corruption_detected(self, event: ProtocolEvent) -> None:
+    def _on_log_corruption_detected(self, event: ProtocolEvent,
+                                    _: dict) -> None:
         self.corruption_detected += 1
 
-    def _on_snapshot_rejected(self, event: ProtocolEvent) -> None:
+    def _on_snapshot_rejected(self, event: ProtocolEvent, _: dict) -> None:
         self.snapshots_rejected += 1
 
-    def _on_recovery_fallback(self, event: ProtocolEvent) -> None:
+    def _on_recovery_fallback(self, event: ProtocolEvent, _: dict) -> None:
         self.fallbacks += 1
 
-    def _on_disk_degraded(self, event: ProtocolEvent) -> None:
+    def _on_disk_degraded(self, event: ProtocolEvent, _: dict) -> None:
         self.disk_degraded += 1
-
-
-def audit_recovery_log(events, scope: Callable[[int], int] | None = None,
-                       strict: bool = False) -> RecoveryAuditor:
-    """Offline sweep: run the recovery auditor over recorded events."""
-    auditor = RecoveryAuditor(strict=strict, scope=scope)
-    for event in events:
-        auditor.on_event(event)
-    return auditor

@@ -96,15 +96,8 @@ def build_run_report(result: Any, obs: Any, horizon: float) -> dict[str, Any]:
             "dropped": obs.events.dropped,
             "by_kind": obs.events.counts(),
         }
-    auditor = getattr(obs, "auditor", None)
-    if auditor is not None:
-        report["audit"] = auditor.summary()
-    liveness = getattr(obs, "liveness", None)
-    if liveness is not None:
-        report["liveness"] = liveness.summary()
-    recovery = getattr(obs, "recovery", None)
-    if recovery is not None:
-        report["recovery"] = recovery.summary()
+    for auditor in obs.auditors():
+        report[auditor.SECTION] = auditor.summary()
     return report
 
 

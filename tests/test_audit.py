@@ -3,8 +3,11 @@
 Each test seeds one concrete attack or failure against a real run and
 asserts that the named invariant fires with the event context that exposes
 it: a forked block (``no-fork``), a lost certified suffix after a full
-crash (``persistence``), and a certificate carrying a retired view's keys
-(``retired-key``).  A clean Table-row run must produce zero violations.
+crash (``persistence``), a certificate carrying a retired view's keys
+(``retired-key``) and a transfer minted twice (``no-double-mint``).  A
+clean Table-row run must produce zero violations.  The auditor protocol's
+scope (one consensus group's checks never see another's events) and
+offline replay are tested here for all three auditors.
 """
 
 import pytest
@@ -13,13 +16,11 @@ from repro.bench.harness import Scenario, run
 from repro.clients.client import Client
 from repro.crypto.hashing import hash_obj
 from repro.ledger import Block, BlockBody, BlockHeader, TxRecord
-from repro.obs.audit import (
-    INVARIANTS,
-    AuditError,
-    SafetyAuditor,
-    audit_event_log,
-)
+from repro.core.multichain import shard_of_node
+from repro.obs.audit import INVARIANTS, AuditError, SafetyAuditor
 from repro.obs.events import ProtocolEvent
+from repro.obs.liveness import LivenessAuditor
+from repro.obs.recovery import RecoveryAuditor
 
 from tests.helpers import attach_station, make_consortium, mint_ops_simple
 
@@ -52,7 +53,7 @@ class TestCleanRun:
     def test_offline_sweep_of_recorded_log_is_clean(self):
         result = run(Scenario(system="smartchain", clients=300, duration=2.0,
                               seed=77, observe=True, audit=True))
-        auditor = audit_event_log(result.handle.obs.events)
+        auditor = SafetyAuditor().replay(result.handle.obs.events)
         assert auditor.ok
         auditor.raise_if_violated()  # no-op when clean
 
@@ -212,3 +213,127 @@ class TestRetiredKeyAudit:
         assert backsteps
         assert backsteps[0].context == {"previous_view": 2,
                                         "installed_view": 1}
+
+
+def _events(*specs):
+    """``(kind, node, fields)`` triples as a stream, one event per 0.1 s."""
+    return [ProtocolEvent(time=0.1 * seq, seq=seq, kind=kind, node=node,
+                          fields=fields)
+            for seq, (kind, node, fields) in enumerate(specs)]
+
+
+def _group_of(node):
+    return node // 100   # group g holds replicas 100g..100g+3
+
+
+#: auditor -> (factory, two groups' interleaved events colliding on cids,
+#: heights and regencies, the same conflict again inside group 0, the
+#: invariant that conflict trips).
+SCOPE_CASES = {
+    "safety": (
+        lambda: SafetyAuditor(scope=_group_of),
+        [("decide", 0, {"cid": 0, "batch_hash": "aa"}),
+         ("decide", 100, {"cid": 0, "batch_hash": "bb"}),
+         ("block-append", 1, {"block": 1, "digest": "d0"}),
+         ("block-append", 101, {"block": 1, "digest": "d1"}),
+         ("persist-certificate", 102, {"block": 1, "digest": "d1",
+                                       "view": 0})],
+        ("decide", 2, {"cid": 0, "batch_hash": "bb"}), "agreement"),
+    "liveness": (
+        lambda: LivenessAuditor(scope=_group_of, wedge_k=3),
+        [("leader-change", 1, {"regency": 1, "leader": 1}),
+         ("decide", 100, {"cid": 0}),
+         ("leader-change", 101, {"regency": 1, "leader": 1}),
+         ("leader-change", 2, {"regency": 2, "leader": 2}),
+         ("decide", 100, {"cid": 1})],
+        ("leader-change", 3, {"regency": 3, "leader": 3}), "no-wedge"),
+    "recovery": (
+        lambda: RecoveryAuditor(scope=_group_of),
+        [("decide", 0, {"cid": 0, "batch_hash": "aa"}),
+         ("decide", 100, {"cid": 0, "batch_hash": "bb"}),
+         ("recovering", 102, {"replayed": [(0, "bb")]})],
+        ("recovering", 2, {"replayed": [(0, "bb")]}),
+        "recovery-divergence"),
+}
+
+
+class TestScope:
+    @pytest.mark.parametrize("name", sorted(SCOPE_CASES))
+    def test_each_group_sees_only_its_own_events(self, name):
+        factory, interleaved, conflict, invariant = SCOPE_CASES[name]
+        auditor = factory()
+        auditor.replay(_events(*interleaved))
+        assert auditor.ok, [str(v) for v in auditor.violations]
+        assert len(auditor.groups) == 2
+        auditor = factory()
+        auditor.replay(_events(*interleaved, conflict))
+        assert [v.invariant for v in auditor.violations] == [invariant]
+        assert auditor.events_checked == len(interleaved) + 1
+
+    def test_nodeless_events_reach_groups_created_later(self):
+        auditor = SafetyAuditor(scope=_group_of).replay(_events(
+            ("reconfig", -1, {"op": "install", "block": 4, "view": 1}),
+            ("decide", 100, {"cid": 0, "batch_hash": "aa"})))
+        assert auditor.view_at_height(5, group=1) == 1
+
+
+def _redeem(node, xfer="x1", value=5):
+    return ("cert-redeemed", node, {"xfer": xfer, "value": value})
+
+
+class TestNoDoubleMint:
+    def test_redeem_crash_redeem_is_clean(self):
+        # Recovery replays the log and re-executes each xmint: the check is
+        # once per incarnation.
+        auditor = SafetyAuditor().replay(_events(
+            _redeem(2), ("crash", 2, {}), ("recovering", 2, {"height": 3}),
+            _redeem(2)))
+        assert auditor.ok, [str(v) for v in auditor.violations]
+        assert auditor.summary()["transfers_redeemed"] == 1
+
+    def test_redeem_twice_without_crash_is_flagged(self):
+        auditor = SafetyAuditor().replay(_events(
+            _redeem(2), _redeem(1), _redeem(2), _redeem(2)))
+        assert [v.invariant for v in auditor.violations] == [
+            "no-double-mint"]
+        assert auditor.violations[0].context["node"] == 2
+
+    def test_diverging_value_is_flagged(self):
+        auditor = SafetyAuditor().replay(_events(
+            _redeem(1, value=5), _redeem(2, value=6)))
+        assert auditor.violations[0].context == {
+            "xfer": "x1", "value": 6, "expected": 5}
+
+    def test_sharded_recovery_replay_is_clean(self):
+        # Replica 2 of shard 1 — where shard 0's transfers are minted —
+        # crash-recovers twice and replays its log, re-redeeming every
+        # transfer certificate it had logged.
+        result = run(Scenario(system="smartchain", shards=2,
+                              cross_shard_fraction=0.1, clients=400,
+                              duration=2.5, seed=1, observe=True, audit=True,
+                              faults="bitrot-recovery-shard1"))
+        assert result.report["recovery"]["recoveries_seen"] == 2
+        assert result.report["audit"]["transfers_redeemed"] > 0
+        assert result.report["audit"]["violations"] == []
+
+
+class TestOfflineReplay:
+    def test_replay_of_a_sharded_run_matches_online(self):
+        result = run(Scenario(system="smartchain", shards=2,
+                              cross_shard_fraction=0.2, clients=200,
+                              duration=2.0, seed=1, audit=True,
+                              audit_liveness=True, event_capacity=400_000))
+        obs = result.handle.obs
+        assert obs.events.dropped == 0
+        live = obs.liveness
+        offline = [
+            SafetyAuditor(scope=shard_of_node),
+            LivenessAuditor(bound=live.bound, gst=live.gst,
+                            wedge_k=live.wedge_k, scope=shard_of_node),
+            RecoveryAuditor(scope=shard_of_node)]
+        for online, auditor in zip(obs.auditors(), offline):
+            auditor.replay(obs.events, horizon=2.0)
+            assert auditor.summary() == online.summary()
+        assert offline[0].summary()["shards"] == 2
+        assert offline[0].summary()["transfers_redeemed"] > 0
+        assert offline[1].summary()["shards"] == 2

@@ -30,6 +30,10 @@ def _old_ci() -> list[tuple[str, str, int]]:
         runs.append(("shard", f"smartchain --engine {engine} --shards 2"
                      " --cross-shard-fraction 0.1 --clients 400"
                      " --duration 2.5 --audit --audit-liveness", 0))
+        runs.append(("shard", f"smartchain --engine {engine} --shards 2"
+                     " --cross-shard-fraction 0.1 --clients 400"
+                     " --duration 2.5 --faults bitrot-recovery-shard1"
+                     " --audit", 0))
         for plan in ("leader-delay", "timeout-jitter", "stop-spam"):
             runs.append(("liveness", f"smartchain --engine {engine}"
                          f" --clients 300 --duration 6.0 --faults {plan}"

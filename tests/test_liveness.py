@@ -14,11 +14,7 @@ from repro.bench.__main__ import main
 from repro.bench.harness import Scenario, run
 from repro.obs.audit import AuditError
 from repro.obs.events import EventLog
-from repro.obs.liveness import (
-    LIVENESS_INVARIANTS,
-    LivenessAuditor,
-    audit_liveness_log,
-)
+from repro.obs.liveness import LIVENESS_INVARIANTS, LivenessAuditor
 from repro.obs.report import validate_report
 
 
@@ -132,9 +128,9 @@ class TestWedgeDetection:
         _change(log, 1, 0.5)
         _reply(log, 0.9)
         by_regency = auditor.summary()["latency_by_regency"]
-        assert set(by_regency) == {"1"}
-        assert by_regency["1"]["count"] == 1
-        assert by_regency["1"]["max_s"] == pytest.approx(0.8)
+        assert set(by_regency) == {"s0/r1"}
+        assert by_regency["s0/r1"]["count"] == 1
+        assert by_regency["s0/r1"]["max_s"] == pytest.approx(0.8)
 
 
 class TestOfflineHelper:
@@ -145,7 +141,8 @@ class TestOfflineHelper:
         _reply(log, 0.8)
         _submit(log, 0.2, req=2)
         online.finalize(horizon=6.0)
-        offline = audit_liveness_log(log, horizon=6.0, bound=1.0, wedge_k=4)
+        offline = LivenessAuditor(bound=1.0, wedge_k=4).replay(
+            log, horizon=6.0)
         assert offline.summary() == online.summary()
         assert offline.summary()["invariants"] == list(LIVENESS_INVARIANTS)
 

@@ -17,7 +17,7 @@ from repro.faults import (
 )
 from repro.obs.audit import AuditError
 from repro.obs.events import ProtocolEvent
-from repro.obs.recovery import RecoveryAuditor, audit_recovery_log
+from repro.obs.recovery import RecoveryAuditor
 from repro.obs.report import validate_report
 
 
@@ -88,14 +88,6 @@ class TestRecoveryAuditor:
         auditor.on_event(_event("recovering", 2, replayed=[(7, "aa")]))
         assert [v.invariant for v in auditor.violations] == ["phantom-replay"]
 
-    def test_scope_separates_shards(self):
-        # The same cid decided differently in two shards must not cross.
-        auditor = RecoveryAuditor(scope=lambda node: node // 100)
-        auditor.on_event(_event("decide", 0, cid=0, batch_hash="aa"))
-        auditor.on_event(_event("decide", 100, cid=0, batch_hash="bb"))
-        auditor.on_event(_event("recovering", 102, replayed=[(0, "bb")]))
-        assert auditor.ok
-
     def test_strict_mode_raises_immediately(self):
         auditor = RecoveryAuditor(strict=True)
         auditor.on_event(_event("decide", 0, cid=0, batch_hash="aa"))
@@ -103,7 +95,7 @@ class TestRecoveryAuditor:
             auditor.on_event(_event("recovering", 2, replayed=[(0, "xx")]))
 
     def test_health_tallies(self):
-        auditor = audit_recovery_log([
+        auditor = RecoveryAuditor().replay([
             _event("log-corruption-detected", 2, log="oplog", index=3,
                    reason="checksum", dropped=2),
             _event("snapshot-rejected", 2, key="snap"),
