@@ -40,8 +40,6 @@ from repro.crypto.keys import KeyRegistry
 from repro.net.network import Network
 from repro.obs import Observability, build_run_report
 from repro.obs.audit import SafetyAuditor
-from repro.obs.liveness import LivenessAuditor
-from repro.obs.recovery import RecoveryAuditor
 from repro.sim.engine import Simulator
 from repro.sim.trace import merge_stamps, op_window_rates, trimmed_mean
 from repro.smr.durability import DuraSmartDelivery
@@ -537,12 +535,14 @@ def _attach_auditors(scenario: Scenario, obs: Observability, plan: Any,
     regencies restart per group."""
     from repro.core.multichain import shard_of_node
     if scenario.audit:
+        from repro.obs.recovery import RecoveryAuditor
         # Recovery evidence rides the same event stream the safety auditor
         # checks: every audited run also verifies that recovered replicas
         # rejoin on the canonical chain (docs/faults.md).
         SafetyAuditor(scope=shard_of_node).attach(obs)
         RecoveryAuditor(scope=shard_of_node).attach(obs)
     if scenario.audit_liveness:
+        from repro.obs.liveness import LivenessAuditor
         # An explicit scenario field wins over the fault plan's hint,
         # which wins over the default.
         hints = plan.liveness if plan is not None else {}
