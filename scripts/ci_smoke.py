@@ -121,6 +121,16 @@ JOBS: dict[str, tuple[Row, ...]] = {
              "--check-against", "benchmarks/results/BENCH_pipeline.json"),
             DEFAULT),
     ),
+    # The paper's evaluation (Section VI): every table, figure and ablation,
+    # each exiting 1 if one of its shape claims stops holding
+    # (repro.bench.experiments); Table I is also gated against its
+    # committed baseline.
+    "figures": (
+        Row(("table1", "--check-against",
+             "benchmarks/results/BENCH_table1.json"), DEFAULT),
+        *(Row((experiment,), DEFAULT)
+          for experiment in ("table2", "fig6", "fig7", "fig8", "ablations")),
+    ),
 }
 
 

@@ -2,13 +2,14 @@
 
 Examples::
 
-    python -m repro.bench table1                # Table I rows
-    python -m repro.bench table2                # Table II rows
-    python -m repro.bench calibration           # anchor fit report
+    python -m repro.bench --list                        # experiments + defaults
+    python -m repro.bench table1                        # Table I, paper, claims
+    python -m repro.bench table2                        # Table II: 8x / 33x
+    python -m repro.bench fig6                          # also fig7, fig8
+    python -m repro.bench ablations                     # beyond the paper
     python -m repro.bench smartchain --variant weak --clients 600
     python -m repro.bench table1 --report table1.json   # observed run + JSON
     python -m repro.bench --smoke --report /tmp/r.json  # CI schema check
-    python -m repro.bench --list                        # experiments + defaults
     python -m repro.bench smartchain --trace out.json   # Perfetto trace
     python -m repro.bench table1 --audit                # online safety auditor
     python -m repro.bench table1 --check-against benchmarks/results/BENCH_table1.json
@@ -20,6 +21,12 @@ Examples::
     python -m repro.bench pipeline                      # depth x cores sweep
     python -m repro.bench smartchain --pipeline-depth 4 --exec-cores 2
 
+The experiments live in :mod:`repro.bench.experiments`: each one's rows,
+the paper's numbers for them and the shapes of the paper's evaluation they
+must show.  A paper experiment prints every measured value beside the
+paper's and checks its claims; a claim that does not hold prints its values
+and exits 1.  ``REPRO_FULL=1`` runs them at the paper's scale.
+
 ``--report PATH`` runs every row with observability enabled and writes a
 machine-readable bench report (schema ``repro.obs/bench-report/v1``): the
 throughput/latency summary, the per-phase pipeline latency breakdown and the
@@ -27,65 +34,56 @@ per-resource busy fractions of each row.  ``--smoke`` runs one short
 observed SMARTCHAIN row and validates the report schema (at least six
 pipeline phases must appear) — the CI smoke target.
 
-repro.obs v2 additions: ``--audit`` runs the online safety auditor over the
-protocol event stream (exit code 2 on any invariant violation);
-``--trace PATH`` writes the first row as Chrome trace-event JSON (open in
-https://ui.perfetto.dev); ``--events PATH`` writes the raw protocol event
-stream as JSONL; ``--check-against BASELINE`` compares the fresh report
-against a saved baseline report with tolerance bands (exit code 1 on
-drift beyond tolerance).
+``--audit`` runs the online safety auditor over the protocol event stream
+(exit code 2 on any invariant violation); ``--trace PATH`` writes the first
+row as Chrome trace-event JSON (open in https://ui.perfetto.dev);
+``--events PATH`` writes the raw protocol event stream as JSONL;
+``--check-against BASELINE`` compares the fresh report against a saved
+baseline report with tolerance bands (exit code 1 on drift beyond
+tolerance).  They apply to the rows a Scenario expresses; ``fig7`` and
+``fig8`` build their own deployments and refuse them.
 
 ``--profile`` wraps the simulation runs in :mod:`cProfile`, prints the top
 functions by cumulative time to stderr and attaches them to the report
-(``report["profile"]``) — see docs/performance.md.  The host-time
-counterpart of these simulated-time benchmarks lives in
-``benchmarks/bench_wallclock.py``.
-
-For the figure sweeps (6, 7, 8) use the pytest benchmarks, which also assert
-the shapes: ``pytest benchmarks/ --benchmark-only``.
+(``report["profile"]``) — see docs/performance.md.  Host cost per workload
+is measured by ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
-import json
-import sys
-
 import dataclasses
+import json
+import pstats
+import sys
+from typing import Any
 
-from repro.bench.calibration import calibration_report
+from repro.bench.experiments import (
+    CLIENTS,
+    DURATION,
+    EXPERIMENTS,
+    Experiment,
+    Options,
+    observable,
+    run_rows,
+)
 from repro.bench.harness import Scenario, run
-from repro.config import PersistenceVariant, StorageMode, VerificationMode
+from repro.config import PersistenceVariant, StorageMode
 from repro.consensus.engine import engine_names
 from repro.obs.audit import AuditError
 from repro.obs.compare import compare_reports
-from repro.bench.wallclock import format_profile, profile_stats
 from repro.obs.report import build_bench_report, validate_bench_report
 from repro.obs.traceview import build_trace, write_trace
 
-#: Experiment registry for ``--list``: name -> (rows, what it reproduces).
-EXPERIMENTS = {
-    "table1": ("5 rows", "Table I — naive SMaRt-based coin vs Dura-SMaRt"),
-    "table2": ("4 rows", "Table II — SMARTCHAIN vs Tendermint vs Fabric"),
-    "calibration": ("text", "anchor fit against the paper's numbers"),
-    "smartchain": ("1 row", "one SMARTCHAIN config (--variant/--storage/--n)"),
-    "engines": ("2+ rows", "consensus engines head-to-head (--engine picks "
-                "the challenger)"),
-    "shards": ("6 rows", "sharded scaling sweep — shard count x cross-shard "
-               "fraction (see docs/sharding.md)"),
-    "pipeline": ("6 rows", "pipelining sweep — consensus pipeline depth x "
-                 "modeled exec cores on the Table I Durable-SMaRt row "
-                 "(see docs/performance.md)"),
-    "recovery": ("3 rows", "storage-fault recovery sweep — bit-rot / "
-                 "torn-write / gray-disk under crash-recover storms, "
-                 "audited (see docs/faults.md)"),
-}
+#: Flags that need Scenario rows: observation, audit and faults.
+_SCENARIO_FLAGS = ("report", "trace", "events", "check_against", "audit",
+                   "audit_liveness", "faults")
 
 
 def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--clients", type=int, default=1200)
-    parser.add_argument("--duration", type=float, default=2.5)
+    parser.add_argument("--clients", type=int, default=CLIENTS)
+    parser.add_argument("--duration", type=float, default=DURATION)
     parser.add_argument("--seed", type=int, default=1)
     # Accepted both before and after the experiment name; SUPPRESS keeps
     # the subparser from clobbering a value given at the top level.
@@ -108,8 +106,9 @@ def _common(parser: argparse.ArgumentParser) -> None:
 
 def _print_experiment_list() -> None:
     print("experiments:")
-    for name, (rows, what) in EXPERIMENTS.items():
-        print(f"  {name:<12} {rows:<7} {what}")
+    for name, experiment in EXPERIMENTS.items():
+        rows = len(experiment.rows(Options()))
+        print(f"  {name:<12} {rows:>2} row(s)  {experiment.what}")
     print()
     print("scenario defaults (repro.bench.harness.Scenario):")
     for spec in dataclasses.fields(Scenario):
@@ -117,6 +116,60 @@ def _print_experiment_list() -> None:
         if default is dataclasses.MISSING:
             default = "(required)"
         print(f"  {spec.name:<22} {default}")
+
+
+def profile_stats(
+    profiler: cProfile.Profile, top_n: int = 25,
+) -> list[dict[str, Any]]:
+    """Top ``top_n`` functions by cumulative time as JSON-able dicts."""
+    stats = pstats.Stats(profiler)
+    entries = []
+    for (filename, lineno, name), row in stats.stats.items():  # type: ignore[attr-defined]
+        _cc, ncalls, tottime, cumtime, _callers = row
+        entries.append({
+            "function": f"{filename}:{lineno}({name})",
+            "ncalls": ncalls,
+            "tottime_s": round(tottime, 4),
+            "cumtime_s": round(cumtime, 4),
+        })
+    entries.sort(key=lambda entry: -entry["cumtime_s"])
+    return entries[:top_n]
+
+
+def format_profile(entries: list[dict[str, Any]]) -> str:
+    lines = [f"top {len(entries)} functions by cumulative time:",
+             f"  {'cumtime':>8} {'tottime':>8} {'ncalls':>10}  function"]
+    for entry in entries:
+        lines.append(f"  {entry['cumtime_s']:>8.3f} {entry['tottime_s']:>8.3f} "
+                     f"{entry['ncalls']:>10}  {entry['function']}")
+    return "\n".join(lines)
+
+
+def _number(value: float) -> str:
+    return f"{value:>10.0f}" if abs(value) >= 100 else f"{value:>10.2f}"
+
+
+def _paper_table(experiment: Experiment, measured: dict[str, float],
+                 stream) -> bool:
+    """Print the measured values beside the paper's and the claims; returns
+    whether every claim holds."""
+    if experiment.paper or experiment.claims:
+        print(f"{'measured':<30} {'value':>10} {'paper':>10} {'ratio':>7}",
+              file=stream)
+        for key, value in measured.items():
+            paper = experiment.paper.get(key)
+            tail = (f"{_number(paper)} {value / paper:>6.2f}x" if paper
+                    else f"{'-':>10}")
+            print(f"{key:<30} {_number(value)} {tail}", file=stream)
+    ok = True
+    for claim in experiment.claims:
+        holds = claim.check(measured)
+        ok = ok and holds
+        print(f"claim {claim.name}: {'holds' if holds else 'FAILS'} — "
+              f"{claim.text}", file=stream)
+        if not holds:
+            print(f"  values: {claim.values(measured)}", file=stream)
+    return ok
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -158,8 +211,8 @@ def _main(argv: list[str] | None = None) -> int:
     parser.add_argument("--faults", metavar="PLAN", default=None,
                         help="inject a Byzantine fault plan into the run: a "
                              "named plan (see repro.faults.NAMED_PLANS), a "
-                             "JSON file path, or inline JSON (smartchain/"
-                             "engines experiments only; combine with --audit)")
+                             "JSON file path, or inline JSON (combine with "
+                             "--audit)")
     parser.add_argument("--engine", metavar="ENGINE", default=None,
                         help="consensus engine key (one of: "
                              f"{', '.join(engine_names())}); with no "
@@ -174,26 +227,13 @@ def _main(argv: list[str] | None = None) -> int:
                         help="profile the experiment with cProfile; print "
                              "the top functions by cumulative time to "
                              "stderr and attach them to the report")
-    parser.set_defaults(clients=1200, duration=2.5, seed=1)
+    parser.set_defaults(clients=CLIENTS, duration=DURATION, seed=1)
     sub = parser.add_subparsers(dest="experiment")
-
-    for name in ("table1", "table2", "calibration", "engines", "shards",
-                 "pipeline", "recovery"):
-        p = sub.add_parser(name)
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.what)
         _common(p)
-        if name == "shards":
-            # Scaling only shows once a single group saturates its
-            # ordering pipeline; the default client population is the
-            # paper's full closed-loop count, not the lighter bench one.
-            p.set_defaults(clients=2400)
-        if name == "recovery":
-            # Recovery runs measure fault handling, not peak throughput:
-            # a light client load keeps them fast while the duration
-            # covers the plans' full crash-recover storms.
-            p.set_defaults(clients=300, duration=3.0)
-
-    p = sub.add_parser("smartchain")
-    _common(p)
+        p.set_defaults(**experiment.defaults)
+    p = sub.choices["smartchain"]
     p.add_argument("--variant", choices=["strong", "weak"], default="strong")
     p.add_argument("--storage", choices=["sync", "async", "memory"],
                    default="sync")
@@ -230,6 +270,12 @@ def _main(argv: list[str] | None = None) -> int:
     if args.smoke and args.experiment is not None:
         parser.error("--smoke runs its own fixed row; drop the "
                      "experiment name")
+    experiment = EXPERIMENTS.get(args.experiment)
+    given = [flag for flag in _SCENARIO_FLAGS if getattr(args, flag)]
+    if given and experiment is not None and not observable(experiment):
+        parser.error(
+            f"{args.experiment} builds its own deployment, not a Scenario: "
+            f"--{given[0].replace('_', '-')} is not available")
     for path in (args.report, args.trace, args.events):
         if path not in (None, "-"):
             try:  # fail before the run, not after minutes of simulation
@@ -247,11 +293,10 @@ def _main(argv: list[str] | None = None) -> int:
                 f"cannot load baseline {args.check_against}: {exc}")
     fault_plan = None
     if args.faults is not None:
-        if args.experiment not in ("smartchain", "engines", "pipeline",
-                                   "recovery"):
-            parser.error("--faults needs the smartchain, engines, pipeline "
-                         "or recovery experiment (the comparators have no "
-                         "replica runtimes to compromise)")
+        if experiment is None or not experiment.faults:
+            parser.error("--faults needs one of the experiments "
+                         f"{', '.join(n for n, e in EXPERIMENTS.items() if e.faults)}"
+                         " (the others have no fault-plan rows)")
         from repro.faults import FaultPlanError, load_plan
         try:  # resolve now so typos fail before the simulation starts
             fault_plan = load_plan(args.faults)
@@ -261,150 +306,55 @@ def _main(argv: list[str] | None = None) -> int:
     observe = (args.report is not None or args.smoke
                or args.trace is not None or args.events is not None
                or baseline is not None)
-    engine = args.engine or "modsmart"
-    kwargs = dict(clients=args.clients, duration=args.duration,
-                  seed=args.seed, observe=observe, audit=args.audit,
-                  audit_liveness=args.audit_liveness)
-
-    options = {"clients": args.clients, "duration": args.duration,
-               "seed": args.seed}
-    # The profile covers the simulation runs (the branch below); the
-    # try/finally prints it even on calibration's early return.
-    profiler = cProfile.Profile() if args.profile else None
-    profile_top: list | None = None
-    if profiler is not None:
-        profiler.enable()
-    try:
-        if args.smoke:
-            experiment = "smoke"
-            options = {"clients": 300, "duration": 2.0, "seed": args.seed}
-            rows = [run(Scenario(
-                system="smartchain", variant=PersistenceVariant.STRONG,
-                storage=StorageMode.SYNC, engine=engine,
-                observe=True, audit=args.audit,
-                audit_liveness=args.audit_liveness, **options))]
-        elif args.experiment == "calibration":
-            print(f"{'anchor':<36} {'paper':>8} {'measured':>9} {'ratio':>6}")
-            for label, paper, measured, ratio in calibration_report(
-                    clients=args.clients, duration=args.duration,
-                    seed=args.seed):
-                print(f"{label:<36} {paper:>8.0f} {measured:>9.0f} "
-                      f"{ratio:>5.2f}x")
-            if args.report is not None:
-                print("(calibration has no report output; "
-                      "use table1/table2/smartchain)", file=sys.stderr)
-            return 0
-        elif args.experiment == "table1":
-            experiment = "table1"
-            rows = [
-                run(Scenario(system="naive",
-                             verification=VerificationMode.SEQUENTIAL,
-                             storage=StorageMode.SYNC, engine=engine,
-                             **kwargs)),
-                run(Scenario(system="naive",
-                             verification=VerificationMode.SEQUENTIAL,
-                             storage=StorageMode.ASYNC, engine=engine,
-                             **kwargs)),
-                run(Scenario(system="naive",
-                             verification=VerificationMode.PARALLEL,
-                             storage=StorageMode.SYNC, engine=engine,
-                             **kwargs)),
-                run(Scenario(system="naive",
-                             verification=VerificationMode.PARALLEL,
-                             storage=StorageMode.ASYNC, engine=engine,
-                             **kwargs)),
-                run(Scenario(system="dura", engine=engine, **kwargs)),
-            ]
-        elif args.experiment == "table2":
-            experiment = "table2"
-            long = {**kwargs, "duration": max(8.0, args.duration)}
-            rows = [
-                run(Scenario(system="smartchain", engine=engine,
-                             variant=PersistenceVariant.STRONG, **kwargs)),
-                run(Scenario(system="smartchain", engine=engine,
-                             variant=PersistenceVariant.WEAK, **kwargs)),
-                run(Scenario(system="tendermint", **long)),
-                run(Scenario(system="fabric", **long)),
-            ]
-        elif args.experiment == "engines":
-            # Table-II-style head-to-head: the same SMARTCHAIN scenario on
-            # each engine, only the agreement protocol differing.
-            experiment = "engines"
-            contenders = (engine_names() if engine == "modsmart"
-                          else ["modsmart", engine])
-            rows = [run(Scenario(system="smartchain", engine=contender,
-                                 variant=PersistenceVariant.STRONG,
-                                 storage=StorageMode.SYNC,
-                                 faults=fault_plan, **kwargs))
-                    for contender in contenders]
-        elif args.experiment == "shards":
-            # Scaling sweep: independent groups should scale aggregate
-            # throughput near-linearly at 0% cross-shard traffic; the 10%
-            # columns price the two-phase transfer protocol.
-            experiment = "shards"
-            rows = [run(Scenario(system="smartchain", engine=engine,
-                                 shards=shards, cross_shard_fraction=fraction,
-                                 label=f"SmartChain shards={shards} "
-                                       f"x={fraction:g}",
-                                 **kwargs))
-                    for shards in (1, 2, 4)
-                    for fraction in (0.0, 0.1)]
-        elif args.experiment == "recovery":
-            # Storage-fault sweep on the Table I Durable-SMaRt row: each
-            # named plan damages one replica's stable storage under a
-            # crash-recover storm, and every row runs with the safety +
-            # recovery auditors attached — verified recovery must keep the
-            # recovered replica on the canonical chain (docs/faults.md).
-            experiment = "recovery"
-            plans = ([fault_plan] if fault_plan is not None else
-                     ["bitrot-recovery", "torn-write-recovery", "gray-disk"])
-            rows = [run(Scenario(
-                system="dura", engine=engine, faults=plan,
-                label="Dura-SMaRt recovery "
-                      f"[{getattr(plan, 'name', plan)}]",
-                **{**kwargs, "audit": True}))
-                    for plan in plans]
-        elif args.experiment == "pipeline":
-            # Pipelining sweep on the Table I Durable-SMaRt row: the
-            # depth=1/cores=1 corner is byte-identical to the table1 dura
-            # row; depth>=4 with cores>=2 is where the >=1.5x throughput
-            # gain shows (docs/performance.md).
-            experiment = "pipeline"
-            rows = [run(Scenario(system="dura", engine=engine,
-                                 pipeline_depth=depth, exec_cores=cores,
-                                 faults=fault_plan, **kwargs))
-                    for depth in (1, 4)
-                    for cores in (1, 2, 4)]
-        else:  # smartchain
-            experiment = "smartchain"
-            rows = [run(Scenario(
-                system="smartchain", variant=PersistenceVariant(args.variant),
-                storage=StorageMode(args.storage), n=args.n, engine=engine,
-                shards=args.shards,
-                cross_shard_fraction=args.cross_shard_fraction,
-                pipeline_depth=args.pipeline_depth,
-                exec_cores=args.exec_cores,
-                faults=fault_plan, **kwargs))]
-    finally:
-        if profiler is not None:
-            profiler.disable()
-            profile_top = profile_stats(profiler)
-            print(format_profile(profile_top), file=sys.stderr)
+    options = Options(
+        clients=args.clients, duration=args.duration, seed=args.seed,
+        engine=args.engine or "modsmart", faults=fault_plan, observe=observe,
+        audit=args.audit, audit_liveness=args.audit_liveness,
+        overrides={} if args.experiment != "smartchain" else dict(
+            variant=PersistenceVariant(args.variant),
+            storage=StorageMode(args.storage), n=args.n, shards=args.shards,
+            cross_shard_fraction=args.cross_shard_fraction,
+            pipeline_depth=args.pipeline_depth, exec_cores=args.exec_cores))
+    report_options = {"clients": args.clients, "duration": args.duration,
+                      "seed": args.seed}
 
     # With the report going to stdout, keep stdout pure JSON and move the
     # human-readable rows to stderr.
     print_report = args.report is not None or args.smoke
     report_to_stdout = print_report and args.report in (None, "-")
     rows_stream = sys.stderr if report_to_stdout else sys.stdout
+
+    profiler = cProfile.Profile() if args.profile else None
+    profile_top: list | None = None
+    if profiler is not None:
+        profiler.enable()
+    try:
+        if args.smoke:
+            name = "smoke"
+            report_options = {"clients": 300, "duration": 2.0,
+                              "seed": args.seed}
+            rows, measured = [run(Scenario(
+                system="smartchain", variant=PersistenceVariant.STRONG,
+                storage=StorageMode.SYNC, engine=options.engine,
+                observe=True, audit=args.audit,
+                audit_liveness=args.audit_liveness, **report_options))], {}
+        else:
+            name = args.experiment
+            rows, measured = run_rows(experiment.rows(options))
+    finally:
+        if profiler is not None:
+            profiler.disable()
+            profile_top = profile_stats(profiler)
+            print(format_profile(profile_top), file=sys.stderr)
+
     for result in rows:
         print(result.row(), file=rows_stream)
+    claims_hold = experiment is None or _paper_table(
+        experiment, measured, rows_stream)
 
     if observe:
         report = build_bench_report(
-            experiment,
-            [result.report for result in rows],
-            options=options,
-        )
+            name, [result.report for result in rows], options=report_options)
         validate_bench_report(report, min_phases=6 if args.smoke else 0)
         if profile_top is not None:
             # Extra top-level keys are tolerated by the report schema.
@@ -431,7 +381,7 @@ def _main(argv: list[str] | None = None) -> int:
             print(comparison.format(), file=sys.stderr)
             if not comparison.ok:
                 return 1
-    return 0
+    return 0 if claims_hold else 1
 
 
 if __name__ == "__main__":

@@ -50,6 +50,7 @@ from repro.ledger.chain import Blockchain
 from repro.ledger.genesis import GenesisBlock
 from repro.core.persistence import PersistMsg, persistence_level_of
 from repro.smr import scheduler
+from repro.smr.recovery import Replay
 from repro.smr.requests import ClientRequest, Decision
 from repro.smr.service import Application, SequentialDelivery
 from repro.smr.views import View
@@ -584,6 +585,9 @@ class SmartChainDelivery(SequentialDelivery):
         replica.send_replies(results_map, decision.batch,
                              block_number=block.number)
         replica.note_executed(decision)
+        # A key a block announces counts from the next block on, as for the
+        # third-party verifier: this block's PERSIST quorum is behind it.
+        self._record_keys(block.body)
         if reconfig is not None and reconfig.new_view is not None:
             self.last_reconfig = block.number
             self.reconfig_blocks += 1
@@ -644,9 +648,6 @@ class SmartChainDelivery(SequentialDelivery):
         for ann in all_announcements:
             unique[(ann.view_id, ann.replica_id)] = ann
         announcements = list(unique.values())
-        for ann in announcements:
-            self.recorded_members.setdefault(ann.view_id, set()).add(
-                ann.replica_id)
         results_map: dict = {}
         result_records = []
         for request in decision.batch:
@@ -681,6 +682,12 @@ class SmartChainDelivery(SequentialDelivery):
     # ------------------------------------------------------------------
     # Block replay (shared by recovery, state transfer, reconciliation)
     # ------------------------------------------------------------------
+    def _record_keys(self, body: BlockBody) -> None:
+        for record in body.key_announcements:
+            ann = KeyAnnouncement.from_record(record)
+            self.recorded_members.setdefault(ann.view_id, set()).add(
+                ann.replica_id)
+
     def _replay_block(self, block: Block) -> None:
         """Re-apply a block's effects to the service and chain metadata.
 
@@ -688,10 +695,7 @@ class SmartChainDelivery(SequentialDelivery):
         vote re-validation: the block's certificate/proof covers it).
         """
         body = block.body
-        for record in body.key_announcements:
-            ann = KeyAnnouncement.from_record(record)
-            self.recorded_members.setdefault(ann.view_id, set()).add(
-                ann.replica_id)
+        self._record_keys(body)
         if body.new_view is not None:
             view_id, members, permanent_updates = body.new_view
             self.last_reconfig = block.number
@@ -1017,8 +1021,8 @@ class SmartChainDelivery(SequentialDelivery):
         return head.body.consensus_id if head is not None else -1
 
     def _rebuild_service_state(self) -> None:
-        store = self.replica.store
-        checkpoint = store.read_cell(self.SNAPSHOT)
+        checkpoint = Replay(self.replica, self.recovery).load_checkpoint(
+            self.SNAPSHOT)
         replay_from = 1
         if (isinstance(checkpoint, CheckpointInfo)
                 and checkpoint.block_number <= self.chain.height):

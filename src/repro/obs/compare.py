@@ -19,23 +19,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["DEFAULT_THROUGHPUT_TOLERANCE", "DEFAULT_LATENCY_TOLERANCE",
-           "DEFAULT_WALLCLOCK_BUDGET", "DEFAULT_EVENTS_TOLERANCE",
-           "Deviation", "ComparisonResult", "compare_reports",
-           "compare_wallclock"]
+           "Deviation", "ComparisonResult", "compare_reports"]
 
 #: Allowed relative drift before a metric counts as a regression.
 DEFAULT_THROUGHPUT_TOLERANCE = 0.15
 DEFAULT_LATENCY_TOLERANCE = 0.25
-
-#: Wall-clock regression budget: the current run may be up to this factor
-#: slower than the committed baseline before the check fails.  Generous on
-#: purpose — CI machines differ wildly in speed and load; the budget exists
-#: to catch order-of-magnitude regressions (an accidentally quadratic heap,
-#: a disabled cache), not percent-level drift.
-DEFAULT_WALLCLOCK_BUDGET = 3.0
-#: Simulated-event counts are deterministic per seed, so drift beyond this
-#: band means the *model* changed, not the machine.
-DEFAULT_EVENTS_TOLERANCE = 0.10
 
 
 @dataclass
@@ -149,57 +137,4 @@ def compare_reports(
                 result.deviations.append(Deviation(
                     label=label, metric=metric, baseline=base_value,
                     current=cur_value, tolerance=tolerance))
-    return result
-
-
-def compare_wallclock(
-    baseline: dict[str, Any],
-    current: dict[str, Any],
-    budget: float = DEFAULT_WALLCLOCK_BUDGET,
-    events_tolerance: float = DEFAULT_EVENTS_TOLERANCE,
-) -> ComparisonResult:
-    """Diff two wall-clock reports (schema ``repro.obs/wallclock/v1``).
-
-    Wall time is checked *one-sided*: a row only deviates when its current
-    ``wall_s`` exceeds ``budget`` × the baseline — getting faster never
-    fails.  Simulated-event counts are checked two-sided with a tight band:
-    they are deterministic per seed, so drift means the model changed and
-    the committed baseline is stale.
-    """
-    result = ComparisonResult()
-
-    for key in ("schema", "mode", "seed", "clients", "duration"):
-        if baseline.get(key) != current.get(key):
-            result.deviations.append(Deviation(
-                label="<report>", metric=key,
-                baseline=baseline.get(key), current=current.get(key)))
-
-    base_rows = {row["label"]: row for row in baseline.get("rows", [])}
-    cur_rows = {row["label"]: row for row in current.get("rows", [])}
-    for label in sorted(set(base_rows) | set(cur_rows)):
-        if label not in cur_rows:
-            result.deviations.append(Deviation(
-                label=label, metric="presence", baseline="present",
-                current="missing"))
-            continue
-        if label not in base_rows:
-            result.deviations.append(Deviation(
-                label=label, metric="presence", baseline="missing",
-                current="present"))
-            continue
-        result.matched_runs += 1
-        base_wall = base_rows[label].get("wall_s")
-        cur_wall = cur_rows[label].get("wall_s")
-        if (base_wall is not None and cur_wall is not None
-                and cur_wall > base_wall * budget):
-            result.deviations.append(Deviation(
-                label=label, metric="wall_s", baseline=base_wall,
-                current=cur_wall, tolerance=budget - 1.0))
-        base_events = base_rows[label].get("events")
-        cur_events = cur_rows[label].get("events")
-        if (base_events is not None and cur_events is not None
-                and not _within(base_events, cur_events, events_tolerance)):
-            result.deviations.append(Deviation(
-                label=label, metric="events", baseline=base_events,
-                current=cur_events, tolerance=events_tolerance))
     return result

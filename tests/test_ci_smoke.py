@@ -20,7 +20,8 @@ BASELINES = "benchmarks/results"
 
 def _old_ci() -> list[tuple[str, str, int]]:
     """``(job, repro.bench command line, expected exit)`` — the bash loops
-    of the pre-table ci.yml, transliterated."""
+    of the pre-table ci.yml, transliterated, and the paper experiments that
+    replaced its pytest-run ``figures`` job."""
     runs = []
     for engine in ENGINES:
         for plan in ("equivocate", "mute", "withhold-votes", "stale-replay",
@@ -66,6 +67,13 @@ def _old_ci() -> list[tuple[str, str, int]]:
          " --duration 2.5 --faults withhold-votes --audit", 0),
         ("pipeline", "pipeline --profile --report pipeline-report.json"
          f" --check-against {BASELINES}/BENCH_pipeline.json", 0),
+        ("figures", f"table1 --check-against {BASELINES}/BENCH_table1.json",
+         0),
+        ("figures", "table2", 0),
+        ("figures", "fig6", 0),
+        ("figures", "fig7", 0),
+        ("figures", "fig8", 0),
+        ("figures", "ablations", 0),
     ]
     return runs
 

@@ -8,14 +8,11 @@ the baseline comparison with tolerance bands, and the new bench CLI flags
 
 import copy
 import json
-import pathlib
 
 import pytest
 
 from repro.bench.__main__ import main
 from repro.bench.harness import Scenario, run
-from repro.bench.wallclock import WALLCLOCK_SCHEMA
-from repro.bench.wallclock import main as wallclock_main
 from repro.config import PersistenceVariant, StorageMode, VerificationMode
 from repro.crypto.hashing import set_caches_enabled
 from repro.obs.compare import (
@@ -23,7 +20,6 @@ from repro.obs.compare import (
     DEFAULT_THROUGHPUT_TOLERANCE,
     ComparisonResult,
     compare_reports,
-    compare_wallclock,
 )
 from repro.obs.events import EVENT_KINDS, EventLog
 from repro.obs.metrics import Histogram
@@ -328,96 +324,13 @@ class TestCompareReports:
         assert compare_reports(bench_report, older).ok
 
 
-class TestCompareWallclock:
-    @pytest.fixture()
-    def wallclock_report(self):
-        return {"schema": WALLCLOCK_SCHEMA, "mode": "quick", "seed": 1,
-                "reps": 2, "clients": 300, "duration": 1.0,
-                "rows": [
-                    {"label": "naive seq sync", "wall_s": 0.10, "events": 6407},
-                    {"label": "dura-smart", "wall_s": 0.50, "events": 20266},
-                ],
-                "total_wall_s": 0.60}
-
-    def test_self_comparison_ok(self, wallclock_report):
-        result = compare_wallclock(wallclock_report, wallclock_report)
-        assert result.ok and result.matched_runs == 2
-
-    def test_speedup_never_fails(self, wallclock_report):
-        faster = copy.deepcopy(wallclock_report)
-        for row in faster["rows"]:
-            row["wall_s"] /= 10.0
-        assert compare_wallclock(wallclock_report, faster).ok
-
-    def test_budget_exceeded_flagged(self, wallclock_report):
-        slower = copy.deepcopy(wallclock_report)
-        slower["rows"][1]["wall_s"] *= 4.0  # past the default 3x budget
-        result = compare_wallclock(wallclock_report, slower)
-        assert not result.ok
-        assert [d.metric for d in result.deviations] == ["wall_s"]
-        assert result.deviations[0].label == "dura-smart"
-
-    def test_event_drift_flagged(self, wallclock_report):
-        drifted = copy.deepcopy(wallclock_report)
-        drifted["rows"][0]["events"] = int(
-            drifted["rows"][0]["events"] * 1.5)
-        result = compare_wallclock(wallclock_report, drifted)
-        assert not result.ok
-        assert [d.metric for d in result.deviations] == ["events"]
-
-    def test_mode_and_missing_row_flagged(self, wallclock_report):
-        current = copy.deepcopy(wallclock_report)
-        current["mode"] = "full"
-        current["rows"] = current["rows"][:1]
-        result = compare_wallclock(wallclock_report, current)
-        metrics = {d.metric for d in result.deviations}
-        assert "mode" in metrics
-        assert "presence" in metrics
-
-
-class TestWallclockCLI:
-    def test_quick_suite_report_and_self_check(self, tmp_path, capsys):
-        out = tmp_path / "wallclock.json"
-        assert wallclock_main(["--quick", "--reps", "1",
-                               "--out", str(out)]) == 0
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["schema"] == WALLCLOCK_SCHEMA
-        assert len(report["rows"]) == 5
-        for row in report["rows"]:
-            assert row["wall_s"] > 0
-            assert row["events"] > 0
-            assert 0 < row["digest_cache_hit_rate"] <= 1
-        assert report["total_wall_s"] > 0
-        # Same seed, same machine: a self-check is within any budget.
-        assert wallclock_main(["--quick", "--reps", "1",
-                               "--check-against", str(out)]) == 0
-        capsys.readouterr()
-
-    def test_committed_baseline_matches_current_code(self, capsys):
-        # The CI gate: event counts in the committed baseline must match
-        # what the code produces today (wall time has the 3x budget).
-        baseline = (pathlib.Path(__file__).resolve().parents[1]
-                    / "benchmarks" / "results" / "BENCH_wallclock.json")
-        assert wallclock_main(["--quick", "--reps", "1",
-                               "--check-against", str(baseline)]) == 0
-        capsys.readouterr()
-
-    def test_profile_attaches_entries(self, tmp_path, capsys):
-        out = tmp_path / "wallclock.json"
-        assert wallclock_main(["--quick", "--reps", "1", "--profile",
-                               "--out", str(out)]) == 0
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["profile"]
-        entry = report["profile"][0]
-        assert {"function", "ncalls", "tottime_s", "cumtime_s"} <= set(entry)
-        assert "cumulative" in capsys.readouterr().err
-
-
 class TestCLI:
     def test_list_exits_cleanly(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("table1", "table2", "calibration", "smartchain"):
+        for name in ("table1", "table2", "fig6", "fig7", "fig8",
+                     "ablations", "smartchain", "engines", "shards",
+                     "pipeline", "recovery"):
             assert name in out
         assert "observe" in out  # Scenario defaults are printed
 

@@ -216,6 +216,32 @@ class TestKeyRotation:
         assert recorded == {0, 1, 2, 3, 4}
 
 
+    def test_keyreg_block_certified_by_keys_recorded_before_it(self):
+        """A key announced in block N counts from block N+1 on, for the
+        replica's PERSIST quorum as for the third-party verifier.  Under
+        this load a member's next-view key misses the leave's
+        reconfiguration block and is registered by a keyreg block."""
+        consortium = make_consortium(seed=4, checkpoint_period=50)
+        station = attach_station(consortium)
+        for _ in range(10):
+            Client(station, mint_ops_simple(10_000))
+        station.start_all()
+        candidate = consortium.add_candidate(4, SmartCoin(minters=[MINTER]))
+        consortium.sim.schedule(1.0, candidate.join)
+        consortium.sim.schedule(3.0, lambda: consortium.node(4).leave())
+        consortium.sim.run(until=5.0)
+        chain = consortium.node(0).delivery.chain
+        assert [block for block in chain if block.body.key_announcements
+                and block.body.new_view is None], "no keyreg block"
+        verifier = ChainVerifier(consortium.registry, consortium.genesis,
+                                 require_certificates=True,
+                                 uncertified_tail=2)
+        for node_id in range(4):
+            report = verifier.verify_records(
+                consortium.node(node_id).chain_records())
+            assert report.views_seen == [0, 1, 2]
+
+
 class TestCentralizedViewManagerBaseline:
     """The classic BFT-SMART reconfiguration the paper argues against."""
 

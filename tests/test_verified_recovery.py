@@ -17,7 +17,7 @@ import pytest
 from repro.apps.naive import NaiveBlockchainDelivery
 from repro.bench.harness import Scenario, run
 from repro.clients.client import Client
-from repro.config import StorageMode
+from repro.config import PersistenceVariant, StorageMode
 from repro.core.blockchain_layer import SmartChainDelivery
 from repro.smr.durability import DuraSmartDelivery
 
@@ -282,6 +282,42 @@ def test_dura_resume_marker_ahead_of_the_prefix_detaches_without_damage():
         "recovery-fallback", "recovery-verified"]
     assert dep.recovery_events()[0].fields == {
         "from_cid": last_cid, "dropped": 0}
+
+
+def _reconciled_weak_chain(rot_snapshot: bool):
+    """A weak-variant replica whose full-crash reconciliation drops its
+    newest block (``suffix-lost``), optionally after its stable snapshot
+    rotted; returns the replica's delivery layer."""
+    consortium = make_consortium(seed=5, checkpoint_period=4,
+                                 variant=PersistenceVariant.WEAK)
+    consortium.sim.obs.record_events = True
+    station = attach_station(consortium)
+    Client(station, mint_ops_simple(30))
+    station.start_all()
+    consortium.sim.run(until=5.0)
+    delivery = consortium.node(1).delivery
+    store = delivery.replica.store
+    keep = delivery.chain.height - 1
+    assert 0 < store.read_cell(delivery.SNAPSHOT).block_number <= keep
+    if rot_snapshot:
+        store.inject_fault("bit-rot", random.Random(5),
+                           cell=delivery.SNAPSHOT)
+    delivery.reconcile_local(delivery.chain.get(keep).body.consensus_id)
+    assert delivery.chain.height == keep
+    assert "suffix-lost" in [e.kind for e in consortium.sim.obs.events]
+    return delivery
+
+
+def test_reconciliation_rejects_a_rotted_snapshot():
+    """Full-crash reconciliation reads the checkpoint through the verified
+    replay: a rotted snapshot is counted and passed over, and the state is
+    rebuilt from genesis to the same digest the sound snapshot gives."""
+    clean = _reconciled_weak_chain(rot_snapshot=False)
+    rotted = _reconciled_weak_chain(rot_snapshot=True)
+    assert clean.replica.store.bitrot_detected == 0
+    assert rotted.replica.store.bitrot_detected == 1
+    assert rotted.recovery.snapshots_rejected == 1
+    assert rotted.app.state_digest() == clean.app.state_digest()
 
 
 # ----------------------------------------------------------------------
