@@ -108,8 +108,8 @@ JOBS: dict[str, tuple[Row, ...]] = {
     # (docs/performance.md): audited depth=4 runs must come out clean on 1
     # and 2 exec cores, also with a quorum's worth of withheld votes (the
     # pipeline-stalled watchdog path), and the depth x cores sweep is gated
-    # against the committed baseline — whose depth=1/cores=1 corner doubles
-    # as the Table I byte-identity check.
+    # against the committed baseline, within its tolerance band — its
+    # depth=1/cores=1 corner is the Table I Dura-SMaRt row again.
     "pipeline": (
         *(Row(_smartchain("--pipeline-depth", "4", "--exec-cores", cores,
                           "--audit", "--audit-liveness",

@@ -267,8 +267,3 @@ class FabricCluster:
     def view(self) -> View:
         """Stations send requests to the gateway and receive peer events."""
         return View(0, (("fab", "gateway"),))
-
-    def reply_quorum_view(self) -> View:
-        """Events from a single peer complete a request (Fabric clients
-        listen to one peer's block events)."""
-        return View(0, (("fab", "gateway"),))

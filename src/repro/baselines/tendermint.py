@@ -274,6 +274,3 @@ class TendermintCluster:
         """A View whose member ids are the validators' network addresses, so
         the ordinary client stations can drive a Tendermint cluster."""
         return View(0, tuple(("tm", i) for i in range(self.config.n)))
-
-    def station_targets(self) -> list:
-        return [("tm", node.id) for node in self.nodes]

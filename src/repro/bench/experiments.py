@@ -249,11 +249,10 @@ def _fig7_timeline(o: Options) -> dict[str, float]:
     from repro.config import SMRConfig, SmartChainConfig
     from repro.core.node import bootstrap
     from repro.sim.engine import Simulator
-    from repro.sim.trace import TraceLog, bucket_timeline, merge_stamps
+    from repro.sim.trace import bucket_timeline, merge_stamps
     from repro.workloads.coingen import all_minter_addresses, deploy_clients
 
     sim = Simulator(o.seed)
-    trace = TraceLog()
     # The checkpoint stalls the pipeline for state_bytes / 45 MB/s (the
     # paper's ~23 s for 1 GB); the request timeout must exceed it or the
     # stall would masquerade as a faulty leader.
@@ -272,7 +271,7 @@ def _fig7_timeline(o: Options) -> dict[str, float]:
                          synthetic_state_bytes=FIG7_STATE_BYTES)
 
     consortium = bootstrap(sim, (0, 1, 2, 3), app_factory, config,
-                           trace=trace, engine=o.engine)
+                           engine=o.engine)
     view_holder = [consortium.genesis.view]
     for node in consortium.nodes.values():
         node.view_listeners.append(

@@ -172,8 +172,6 @@ class ConsensusEngine(abc.ABC):
         replica.inflight.update(r.key for r in batch)
         msg = ProposeMsg(cid=cid, regency=replica.regency, batch=batch,
                          batch_hash=batch_hash, size=batch_wire_size(batch))
-        replica.trace.emit(replica.sim.now, "propose", replica=replica.id,
-                           cid=cid, batch=len(batch))
         obs = replica.sim.obs
         if obs.trace_pipeline and replica.id == obs.pipeline_node:
             now = replica.sim.now
@@ -354,11 +352,8 @@ class ConsensusEngine(abc.ABC):
         payload = hash_obj_cached((tag, msg.cid, msg.batch_hash))
 
         def verified() -> None:
-            if not replica.registry.verify(public, payload, msg.signature):
-                replica.trace.emit(replica.sim.now, f"bad-{tag}-signature",
-                                   replica=replica.id, src=src, cid=msg.cid)
-                return
-            if msg.cid <= replica.last_decided:
+            if (not replica.registry.verify(public, payload, msg.signature)
+                    or msg.cid <= replica.last_decided):
                 return
             tally(src, msg)
         replica.charge_pool(replica.costs.crypto.verify_time, verified)

@@ -434,8 +434,6 @@ class SmartChainDelivery(SequentialDelivery):
         self.certs_timed_out += 1
         self._count("chain.certs_timed_out")
         _digest, completion = waiting
-        self.replica.trace.emit(self.replica.sim.now, "persist-timeout",
-                                replica=self.replica.id, block=number)
         rt = self.replica.runtime
         if rt.observing:
             rt.notify("persist-timeout", block=number)
@@ -1009,9 +1007,6 @@ class SmartChainDelivery(SequentialDelivery):
                 keep = block.number
         dropped = self.chain.truncate(keep)
         if dropped:
-            self.replica.trace.emit(
-                self.replica.sim.now, "suffix-lost", replica=self.replica.id,
-                blocks=[b.number for b in dropped])
             rt = self.replica.runtime
             if rt.observing:
                 rt.notify("suffix-lost",

@@ -29,7 +29,6 @@ from repro.ledger.block import KeyAnnouncement
 from repro.ledger.genesis import GenesisBlock
 from repro.net.network import Network
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceLog
 from repro.smr.keydir import KeyDirectory
 from repro.smr.replica import ModSmartReplica
 from repro.smr.requests import ClientRequest, ReplyBatchMsg, RequestBatchMsg
@@ -63,7 +62,6 @@ class SmartChainNode:
         costs: CostModel,
         app: Application,
         store: StableStore | None = None,
-        trace: TraceLog | None = None,
         view: View | None = None,
         permanent_key=None,
         initial_consensus_key=None,
@@ -81,7 +79,7 @@ class SmartChainNode:
         self.delivery.node = self
         self.replica = ModSmartReplica(
             sim, network, registry, keydir, node_id, current_view,
-            config.smr, costs, self.delivery, store=store, trace=trace,
+            config.smr, costs, self.delivery, store=store,
             key_policy="per_view",
             active=current_view.contains(node_id),
             permanent_key=permanent_key,
@@ -160,8 +158,6 @@ class SmartChainNode:
         def on_view_reply(result: Any) -> None:
             if not (isinstance(result, tuple) and result
                     and result[0] == "view"):
-                self.replica.trace.emit(self.sim.now, "join-rejected",
-                                        replica=self.id, result=repr(result))
                 return
             _tag, view_id, members = result
             new_view = View(view_id, tuple(members))
@@ -174,8 +170,6 @@ class SmartChainNode:
         if self.replica.active:
             return
         self.replica.active = True
-        self.replica.trace.emit(self.sim.now, "joined", replica=self.id,
-                                view=self.view.view_id)
         self.replica.maybe_propose()
         if on_done is not None:
             on_done()
@@ -183,14 +177,8 @@ class SmartChainNode:
     def leave(self, on_done: Callable[[], None] | None = None) -> None:
         """Ask to leave; the node keeps serving until the new view installs
         (a leaver that stops early is considered faulty — Section III)."""
-
-        def on_view_reply(result: Any) -> None:
-            self.replica.trace.emit(self.sim.now, "left", replica=self.id,
-                                    result=repr(result))
-            if on_done is not None:
-                on_done()
-
-        self.reconfig.request_leave(on_done=on_view_reply)
+        self.reconfig.request_leave(
+            on_done=None if on_done is None else lambda _result: on_done())
 
     def vote_exclude(self, target: int) -> None:
         self.reconfig.vote_exclude(target)
@@ -258,9 +246,6 @@ class ReplicaGroup:
     def node(self, node_id: int) -> SmartChainNode:
         return self.nodes[node_id]
 
-    def active_nodes(self) -> list[SmartChainNode]:
-        return [n for n in self.nodes.values() if n.active]
-
     def add_candidate(self, node_id: int, app: Application,
                       policy=None) -> SmartChainNode:
         """Create a not-yet-member node that can request to join."""
@@ -286,7 +271,6 @@ def bootstrap(
     app_setup: Any = None,
     registry: KeyRegistry | None = None,
     network: Network | None = None,
-    trace: TraceLog | None = None,
     policy: Callable[[str, int, Any], bool] | None = None,
     engine: str | None = None,
     shard: int = 0,
@@ -336,7 +320,7 @@ def bootstrap(
     for member in view.members:
         node = SmartChainNode(
             sim, network, registry, keydir, member, genesis, config, costs,
-            app_factory(), trace=trace,
+            app_factory(),
             permanent_key=permanent[member],
             initial_consensus_key=consensus[member],
             policy=policy,

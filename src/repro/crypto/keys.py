@@ -142,9 +142,6 @@ class KeyRegistry:
         expected = hashlib.sha256(seed + data).digest()
         return expected == signature.value
 
-    def is_known(self, public: str) -> bool:
-        return public in self._verification
-
 
 @dataclass
 class CryptoCosts:

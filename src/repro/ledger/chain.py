@@ -46,10 +46,6 @@ class Blockchain:
                 f"block {block.number} does not chain to the current head")
         self._blocks.append(block)
 
-    def attach_certificate(self, number: int, certificate) -> None:
-        block = self.get(number)
-        block.certificate = certificate
-
     def truncate(self, keep_up_to: int) -> list[Block]:
         """Drop blocks above ``keep_up_to`` (full-crash recovery may discard
         an uncovered suffix); returns the dropped blocks."""
@@ -125,6 +121,3 @@ class Blockchain:
         for block in blocks:
             chain.append(block)
         return chain
-
-    def total_bytes(self) -> int:
-        return sum(block.serialized_bytes() for block in self._blocks)

@@ -123,9 +123,6 @@ class Network:
         if endpoint is not None:
             endpoint.up = False
 
-    def is_registered(self, node_id: Hashable) -> bool:
-        return node_id in self._endpoints
-
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------

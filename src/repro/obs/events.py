@@ -1,9 +1,9 @@
 """Typed, bounded protocol event stream.
 
-The ad-hoc :class:`~repro.sim.trace.TraceLog` records free-form debugging
-lines; this module records *protocol* events — decisions, view changes,
-persist certificates, crashes, recoveries — as typed records that tooling
-can consume: the online safety auditor (:mod:`repro.obs.audit`) subscribes
+This module records the run's *protocol* events — decisions, view changes,
+persist certificates, crashes, recoveries — as typed records, and it is the
+only event stream the protocol code writes to.  Tooling consumes it: the
+online safety auditor (:mod:`repro.obs.audit`) subscribes
 to the stream, the trace exporter (:mod:`repro.obs.traceview`) renders it
 on a per-node timeline, and ``--events`` dumps it as JSONL.
 

@@ -2,7 +2,7 @@
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.resource import Resource
-from repro.sim.trace import LatencyRecorder, ThroughputMeter, TraceLog, trimmed_mean
+from repro.sim.trace import LatencyRecorder, ThroughputMeter, trimmed_mean
 
 __all__ = [
     "Event",
@@ -10,6 +10,5 @@ __all__ = [
     "Resource",
     "LatencyRecorder",
     "ThroughputMeter",
-    "TraceLog",
     "trimmed_mean",
 ]

@@ -1,4 +1,5 @@
-"""Measurement instruments: counters, interval meters and trace logs.
+"""Measurement instruments: completion meters, latency recorders and the
+rate functions over their stamps.
 
 The paper's methodology measures throughput at the replicas in fixed
 intervals, discards the 20% of intervals with the greatest deviation and
@@ -9,16 +10,11 @@ paper's method section.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any
-
 from repro.sim.engine import Simulator
 
 __all__ = [
     "ThroughputMeter",
     "LatencyRecorder",
-    "TraceLog",
     "trimmed_mean",
     "merge_stamps",
     "op_window_rates",
@@ -27,10 +23,11 @@ __all__ = [
 
 
 class ThroughputMeter:
-    """Counts completions and reports per-interval rates.
+    """Counts completions and keeps their time stamps.
 
     ``record(k)`` counts ``k`` completions at the current simulated time;
-    ``interval_rates(width)`` buckets them into fixed windows.
+    :func:`merge_stamps` joins several meters' stamps into one series for
+    :func:`op_window_rates` and :func:`bucket_timeline`.
     """
 
     def __init__(self, sim: Simulator):
@@ -45,57 +42,6 @@ class ThroughputMeter:
     def stamps(self) -> list[tuple[float, int]]:
         """The raw ``(time, count)`` completion stamps, in recording order."""
         return list(self._stamps)
-
-    def interval_rates(
-        self, width: float, start: float = 0.0, end: float | None = None
-    ) -> list[float]:
-        """Throughput (per second) in consecutive windows of ``width`` seconds."""
-        horizon = self.sim.now if end is None else end
-        if horizon <= start or width <= 0:
-            return []
-        buckets = [0] * max(1, math.ceil((horizon - start) / width))
-        for when, count in self._stamps:
-            if when < start or when >= horizon:
-                continue
-            buckets[int((when - start) / width)] += count
-        return [count / width for count in buckets]
-
-    def rate(self, start: float = 0.0, end: float | None = None) -> float:
-        """Average completions per second over ``[start, end)``."""
-        horizon = self.sim.now if end is None else end
-        if horizon <= start:
-            return 0.0
-        total = sum(c for t, c in self._stamps if start <= t < horizon)
-        return total / (horizon - start)
-
-    def op_interval_rates(self, op_window: int, start: float = 0.0,
-                          end: float | None = None) -> list[float]:
-        """Throughput per *operation-count* window — the paper's method:
-        "the throughput was measured at the replicas at regular intervals
-        (at each 10k operations)".  Robust to block-boundary quantization."""
-        horizon = self.sim.now if end is None else end
-        rates: list[float] = []
-        window_start: float | None = None
-        accumulated = 0
-        for when, count in self._stamps:
-            if when < start or when >= horizon:
-                continue
-            if window_start is None:
-                window_start = when
-                continue
-            accumulated += count
-            if accumulated >= op_window:
-                elapsed = when - window_start
-                if elapsed > 0:
-                    rates.append(accumulated / elapsed)
-                window_start = when
-                accumulated = 0
-        return rates
-
-    def timeline(self, width: float) -> list[tuple[float, float]]:
-        """(window midpoint, rate) pairs — the series plotted in Figure 7."""
-        rates = self.interval_rates(width)
-        return [(start * width + width / 2, r) for start, r in enumerate(rates)]
 
 
 class LatencyRecorder:
@@ -119,38 +65,12 @@ class LatencyRecorder:
             return 0.0
         return sum(self.samples) / len(self.samples)
 
-    def stdev(self) -> float:
-        n = len(self.samples)
-        if n < 2:
-            return 0.0
-        mu = self.mean()
-        return math.sqrt(sum((s - mu) ** 2 for s in self.samples) / (n - 1))
-
     def percentile(self, p: float) -> float:
         if not self.samples:
             return 0.0
         ordered = sorted(self.samples)
         index = min(len(ordered) - 1, int(p / 100.0 * len(ordered)))
         return ordered[index]
-
-
-@dataclass
-class TraceLog:
-    """Optional structured event trace, used by tests to assert on protocol
-    behaviour (message counts, phase transitions) without poking internals."""
-
-    enabled: bool = True
-    records: list[tuple[float, str, dict[str, Any]]] = field(default_factory=list)
-
-    def emit(self, now: float, kind: str, **details: Any) -> None:
-        if self.enabled:
-            self.records.append((now, kind, details))
-
-    def of_kind(self, kind: str) -> list[tuple[float, dict[str, Any]]]:
-        return [(t, d) for t, k, d in self.records if k == kind]
-
-    def count(self, kind: str) -> int:
-        return sum(1 for _, k, _ in self.records if k == kind)
 
 
 def merge_stamps(meters: list[ThroughputMeter], start: float = 0.0,

@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.consensus.messages import StopDataMsg, StopMsg, SyncMsg
-from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.smr.replica import ModSmartReplica
@@ -46,8 +45,10 @@ class Synchronizer:
 
     def __init__(self, replica: "ModSmartReplica"):
         self.replica = replica
-        for msg_type in (StopMsg, StopDataMsg, SyncMsg):
-            replica.runtime.register_handler(msg_type, self.on_message)
+        for msg_type, handler in ((StopMsg, self._on_stop),
+                                  (StopDataMsg, self._on_stopdata),
+                                  (SyncMsg, self._on_sync)):
+            replica.runtime.register_handler(msg_type, handler)
         self.in_sync_phase = False
         self._stop_votes: dict[int, set[int]] = {}
         self._stopdata: dict[int, dict[int, StopDataMsg]] = {}
@@ -167,21 +168,11 @@ class Synchronizer:
         if next_regency <= self._stop_sent_for:
             return
         self._stop_sent_for = next_regency
-        self.replica.trace.emit(self.replica.sim.now, "stop",
-                                replica=self.replica.id, regency=next_regency)
         rt = self.replica.runtime
         if rt.observing:
             rt.notify("sync-phase", phase="stop", regency=next_regency,
                       timeout=self.current_timeout)
         self.replica.broadcast_view(StopMsg(next_regency=next_regency))
-
-    def on_message(self, src: int, msg: Message) -> None:
-        if isinstance(msg, StopMsg):
-            self._on_stop(src, msg)
-        elif isinstance(msg, StopDataMsg):
-            self._on_stopdata(src, msg)
-        elif isinstance(msg, SyncMsg):
-            self._on_sync(src, msg)
 
     def _on_stop(self, src: int, msg: StopMsg) -> None:
         replica = self.replica
@@ -218,16 +209,12 @@ class Synchronizer:
         # instance this replica vouched a value for beyond the head is
         # reported alongside (empty at pipeline_depth=1).
         extra_writesets = []
-        window = replica.pipeline_window
-        if window > 1:
-            for c in range(pending_cid + 1, pending_cid + window):
-                ws = replica.engine.abandon_regency(c, regency)
-                if ws is not None:
-                    extra_writesets.append((c, ws))
+        for c in range(pending_cid + 1, pending_cid + replica.pipeline_window):
+            ws = replica.engine.abandon_regency(c, regency)
+            if ws is not None:
+                extra_writesets.append((c, ws))
         replica.reset_proposer()
 
-        replica.trace.emit(replica.sim.now, "regency-installed",
-                           replica=replica.id, regency=regency)
         rt = replica.runtime
         if rt.observing:
             rt.notify("leader-change", regency=regency,
@@ -332,8 +319,6 @@ class Synchronizer:
                       for c in sorted(extra_best))
         size = (64 + (sum(r.size for r in batch) if batch else 0)
                 + sum(sum(r.size for r in b) for _c, b, _h in extra))
-        replica.trace.emit(replica.sim.now, "sync-sent", replica=replica.id,
-                           regency=regency, reproposed=batch is not None)
         rt = replica.runtime
         if rt.observing:
             rt.notify("sync-phase", phase="sync", regency=regency,
@@ -358,13 +343,10 @@ class Synchronizer:
             self._sync_timer.cancel()
             self._sync_timer = None
         self._last_progress = replica.sim.now
-        replica.trace.emit(replica.sim.now, "sync-adopted", replica=replica.id,
-                           regency=msg.regency)
         rt = replica.runtime
         if rt.observing:
             rt.notify("sync-phase", phase="sync-adopted", regency=msg.regency,
                       timeout=self.current_timeout)
-        adopted = False
         if msg.batch is not None and msg.cid == replica.last_decided + 1:
             # Adopt the re-proposal as if it were a PROPOSE from the leader.
             unseen = [r for r in msg.batch if r.key not in replica.admitted]
@@ -372,7 +354,6 @@ class Synchronizer:
                 replica.ingest_requests(unseen)
             replica.engine.adopt_sync(msg.cid, msg.regency, msg.batch,
                                       msg.batch_hash)
-            adopted = True
         # Pipelining: re-proposals for vouched instances beyond the head
         # (extras are empty at pipeline_depth=1).
         for c, batch, batch_hash in msg.extra:
@@ -382,10 +363,9 @@ class Synchronizer:
             if unseen:
                 replica.ingest_requests(unseen)
             replica.engine.adopt_sync(c, msg.regency, batch, batch_hash)
-        if not adopted or replica.pipeline_window > 1:
-            # Sequential mode: propose fresh when nothing was re-proposed.
-            # Pipelined mode: also refill the rest of the window.
-            replica.maybe_propose()
+        # Fill what the re-proposals left of the window (nothing at depth 1
+        # once the head was adopted).
+        replica.maybe_propose()
         self.arm_request_timer()
 
     # ------------------------------------------------------------------

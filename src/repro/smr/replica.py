@@ -40,7 +40,6 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.engine import Simulator
 from repro.sim.resource import Resource
-from repro.sim.trace import TraceLog
 from repro.smr.keydir import KeyDirectory
 from repro.smr.runtime import NodeRuntime
 from repro.smr.requests import (
@@ -96,7 +95,6 @@ class ModSmartReplica:
         costs: CostModel,
         delivery: DeliveryLayer,
         store: StableStore | None = None,
-        trace: TraceLog | None = None,
         key_policy: str = "permanent",
         active: bool = True,
         permanent_key: KeyPair | None = None,
@@ -118,7 +116,6 @@ class ModSmartReplica:
         # disk-degraded events name the replica they hit.
         self.store.node = replica_id
         self.store.disk.node = replica_id
-        self.trace = trace or TraceLog(enabled=False)
         self.key_policy = key_policy
 
         # Machine resources.
@@ -193,7 +190,6 @@ class ModSmartReplica:
         from repro.smr.statetransfer import StateTransferEngine
         self.synchronizer = Synchronizer(self)
         self.state_transfer = StateTransferEngine(self)
-        self.runtime.fallback = self.state_transfer.maybe_handle
 
         delivery.attach(self)
         self.endpoint = network.register(replica_id, self.runtime.deliver)
@@ -358,7 +354,7 @@ class ModSmartReplica:
         self._after_verification()
 
     def _after_verification(self) -> None:
-        self._rearm_proposer("verification", arm_timer=True)
+        self._rearm_proposer(arm_timer=True)
 
     def require_verified(self, batch: list[ClientRequest],
                          fn: Callable[[], None]) -> None:
@@ -425,36 +421,54 @@ class ModSmartReplica:
         return min(self.config.pipeline_depth, self.engine.max_pipeline)
 
     def maybe_propose(self) -> None:
+        """Propose loop: start instances until the window — the
+        ``pipeline_window`` cids after ``last_decided`` — is full or ready
+        requests run out.  Sequential ordering is a window of one.
+        Consecutive batches are disjoint: ``propose`` marks its batch in
+        flight and ``ready_requests`` skips in-flight keys."""
         if self.crashed or not self.active or not self.is_leader:
             return
         if self.synchronizer.in_sync_phase:
             return
-        if self.pipeline_window > 1:
-            self._propose_window()
-            return
-        next_cid = self.last_decided + 1
-        if self.engine.has_open_proposal(next_cid):
-            return  # already ordering something for this cid
-        if self.delivery.backlog >= self.config.max_pending_decisions:
-            return  # flow control: let the delivery pipeline drain
-        ready = self.ready_requests()
-        if not ready:
-            return
-        if len(ready) >= self.config.batch_size:
-            # ``_proposed_head`` guards the window between broadcasting a
-            # PROPOSE and processing its self-addressed copy (which is what
-            # creates the instance ``has_open_proposal`` sees): re-proposing
-            # the same cid in that window would orphan one batch's requests
-            # in ``inflight``.  The timer arming below stays reachable so
-            # sub-batch accumulation behaves exactly as before.
-            if next_cid <= self._proposed_head:
+        config = self.config
+        window = self.pipeline_window
+        while True:
+            next_cid = self._next_window_cid()
+            if next_cid is None:
+                self._arm_stall_watch()
+                # A full window whose head has no instance yet (its
+                # self-addressed PROPOSE is still in flight) still lets a
+                # sub-batch start the batch timer.  At depth 1 that timer
+                # then runs from here rather than from the head's decision;
+                # without this rule Dura-SMaRt loses a third of its tx/s.
+                if self.engine.has_open_proposal(self.last_decided + 1):
+                    return
+            if self.delivery.backlog >= config.max_pending_decisions:
+                return  # flow control: let the delivery pipeline drain
+            ready = self.ready_requests()
+            if not ready:
+                return
+            if len(ready) < config.batch_size:
+                if self._batch_timer is None:
+                    self._batch_timer = self.sim.schedule(
+                        config.batch_timeout,
+                        self.guard(self._batch_timeout_fired))
+                return
+            if next_cid is None:
                 return
             self.cancel_batch_timer()
-            self.engine.propose(ready[: self.config.batch_size])
+            obs = self.sim.obs
+            if obs.enabled and window > 1:  # a window of one has no depth
+                obs.metrics.histogram("pipeline.depth", node=self.id).observe(
+                    next_cid - self.last_decided)
+            self.engine.propose(ready[: config.batch_size], cid=next_cid)
             self._proposed_head = max(self._proposed_head, next_cid)
-        elif self._batch_timer is None:
-            self._batch_timer = self.sim.schedule(
-                self.config.batch_timeout, self.guard(self._batch_timeout_fired))
+            self._arm_stall_watch()
+            if next_cid == self.last_decided + window:
+                # The last slot is taken and its PROPOSE is in flight: stop
+                # here, or the rule above would time a leftover sub-batch
+                # from this call.
+                return
 
     def _next_window_cid(self) -> int | None:
         """First unproposed cid in the window, or None when it is full.
@@ -469,68 +483,24 @@ class ModSmartReplica:
             next_cid += 1
         return next_cid if next_cid <= limit else None
 
-    def _propose_window(self) -> None:
-        """Pipelined propose loop (pipeline_window > 1): keep starting
-        instances until the window is full or ready requests run out.
-        Consecutive batches are disjoint — ``propose`` marks its batch
-        in flight and ``ready_requests`` skips in-flight keys."""
-        config = self.config
-        while True:
-            next_cid = self._next_window_cid()
-            if next_cid is None:
-                self._arm_stall_watch()
-                return
-            if self.delivery.backlog >= config.max_pending_decisions:
-                return  # flow control: let the delivery pipeline drain
-            ready = self.ready_requests()
-            if not ready:
-                return
-            if len(ready) < config.batch_size:
-                if self._batch_timer is None:
-                    self._batch_timer = self.sim.schedule(
-                        config.batch_timeout,
-                        self.guard(self._batch_timeout_fired))
-                return
-            self.cancel_batch_timer()
-            obs = self.sim.obs
-            if obs.enabled:
-                obs.metrics.histogram("pipeline.depth", node=self.id).observe(
-                    next_cid - self.last_decided)
-            self.engine.propose(ready[: config.batch_size], cid=next_cid)
-            self._proposed_head = max(self._proposed_head, next_cid)
-            self._arm_stall_watch()
-
     def _batch_timeout_fired(self) -> None:
+        """The batch timer ran out: propose whatever is ready, sub-batch or
+        not, into the window's next free slot."""
         self._batch_timer = None
         if self.crashed or not self.active or not self.is_leader:
             return
         if self.synchronizer.in_sync_phase:
             return
-        if self.pipeline_window > 1:
-            next_cid = self._next_window_cid()
-            if next_cid is None:
-                return
-            if self.delivery.backlog >= self.config.max_pending_decisions:
-                return
-            ready = self.ready_requests()
-            if ready:
-                self.engine.propose(ready[: self.config.batch_size],
-                                    cid=next_cid)
-                self._proposed_head = max(self._proposed_head, next_cid)
-                self._arm_stall_watch()
+        next_cid = self._next_window_cid()
+        if next_cid is None:
             return
-        next_cid = self.last_decided + 1
-        if self.engine.has_open_proposal(next_cid):
-            return
-        if next_cid <= self._proposed_head:
-            return  # self-addressed PROPOSE still in flight for this cid
         if self.delivery.backlog >= self.config.max_pending_decisions:
-            # Re-check once the pipeline drains (maybe_propose re-arms).
-            return
+            return  # maybe_propose re-arms once the pipeline drains
         ready = self.ready_requests()
         if ready:
-            self.engine.propose(ready[: self.config.batch_size])
+            self.engine.propose(ready[: self.config.batch_size], cid=next_cid)
             self._proposed_head = max(self._proposed_head, next_cid)
+            self._arm_stall_watch()
 
     def cancel_batch_timer(self) -> None:
         """Stop the batching timer (a proposal is going out another way)."""
@@ -546,19 +516,13 @@ class ModSmartReplica:
             self._stall_timer.cancel()
             self._stall_timer = None
 
-    def _rearm_proposer(self, source: str, *, kick: bool = False,
+    def _rearm_proposer(self, *, kick: bool = False,
                         arm_timer: bool = False) -> None:
-        """Single re-arm point for the propose gate.
-
-        Every path that can unblock proposing — verification completing, a
-        decision landing, a view installing, state transfer finishing —
-        funnels through here, so the one trace point below attributes every
-        re-check to its trigger.
-        """
+        """Single re-arm point for the propose gate: every path that can
+        unblock proposing — verification completing, a decision landing, a
+        view installing, state transfer finishing — funnels through here."""
         if kick:
             self.engine.kick_pending()
-        self.trace.emit(self.sim.now, "rearm-proposer", replica=self.id,
-                        source=source)
         self.maybe_propose()
         if arm_timer:
             self.synchronizer.arm_request_timer()
@@ -590,9 +554,6 @@ class ModSmartReplica:
             return
         if self.last_decided == self._stall_marker:
             self.pipeline_stalls += 1
-            self.trace.emit(self.sim.now, "pipeline-stalled",
-                            replica=self.id, head_cid=head,
-                            open_instances=len(in_flight))
             rt = self.runtime
             if rt.observing:
                 rt.notify("pipeline-stalled", head_cid=head,
@@ -617,7 +578,7 @@ class ModSmartReplica:
             ready = self.decision_buffer.pop(self.last_decided + 1)
             self._deliver(ready)
         # A buffered future proposal may now be processable.
-        self._rearm_proposer("decision", kick=True)
+        self._rearm_proposer(kick=True)
 
     def _deliver(self, decision: Decision) -> None:
         self.last_decided = decision.cid
@@ -626,8 +587,6 @@ class ModSmartReplica:
         for req in decision.batch:
             self.pending.pop(req.key, None)
             self.inflight.discard(req.key)
-        self.trace.emit(self.sim.now, "decide", replica=self.id,
-                        cid=decision.cid, batch=len(decision.batch))
         obs = self.sim.obs
         if obs.trace_pipeline:
             obs.trace_cid(self.id, decision.cid, "accept", self.sim.now)
@@ -640,7 +599,7 @@ class ModSmartReplica:
         if (decision.batch and decision.batch[0].special == "vmview"
                 and self.config.view_manager_public is not None):
             self._apply_view_manager_request(decision)
-            self._rearm_proposer("view-manager")
+            self._rearm_proposer()
             return
         # Execution may need local verification to have finished (PARALLEL).
         self.require_verified(decision.batch,
@@ -702,8 +661,6 @@ class ModSmartReplica:
         # A hole: decisions between last_decided and the earliest buffered
         # proposal can no longer be obtained from live traffic — fetch them
         # via state transfer.
-        self.trace.emit(self.sim.now, "gap-detected", replica=self.id,
-                        last_decided=self.last_decided, gap_start=gap_start)
         if not self.state_transfer.in_progress:
             self.state_transfer.start(lambda _cid: None)
         self.arm_gap_check()
@@ -744,15 +701,13 @@ class ModSmartReplica:
         self.synchronizer.on_view_installed()
         self.engine.on_view_installed(new_view)
         self.inflight.clear()
-        self.trace.emit(self.sim.now, "view-installed", replica=self.id,
-                        view=new_view.view_id, members=new_view.members)
         rt = self.runtime
         if rt.observing:
             rt.notify("view-change", view=new_view.view_id,
                       members=list(new_view.members))
         if not new_view.contains(self.id):
             self.active = False
-        self._rearm_proposer("view-installed")
+        self._rearm_proposer()
 
     # ==================================================================
     # Crash / recovery
@@ -782,7 +737,6 @@ class ModSmartReplica:
         self.last_executed = -1
         self.store.crash()
         self.delivery.on_crash()
-        self.trace.emit(self.sim.now, "crash", replica=self.id)
         rt = self.runtime
         if rt.observing:
             rt.notify("crash", incarnation=self._incarnation)
@@ -799,8 +753,6 @@ class ModSmartReplica:
         recovered = self.delivery.recover_local()
         self.last_decided = recovered
         self.last_executed = recovered
-        self.trace.emit(self.sim.now, "recovering", replica=self.id,
-                        local_cid=recovered)
         rt = self.runtime
         if rt.observing:
             fields = dict(local_cid=recovered, height=self.delivery.height)
@@ -816,8 +768,6 @@ class ModSmartReplica:
         def done(target_cid: int) -> None:
             self.active = True
             self.regency = 0
-            self.trace.emit(self.sim.now, "recovered", replica=self.id,
-                            cid=target_cid)
             if rt.observing:
                 rt.notify("recover", cid=target_cid,
                           height=self.delivery.height)

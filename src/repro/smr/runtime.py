@@ -11,6 +11,8 @@ fault hooks — through the protocol code.  The runtime makes both pluggable:
   :class:`~repro.core.blockchain_layer.SmartChainDelivery` PERSIST phase)
   register a handler per message type via :meth:`register_handler`; the
   network delivers into :meth:`deliver`, which dispatches on ``type(msg)``.
+  Dispatch is by exact type only: a message type nobody registered is
+  dropped, and no component keeps an ``isinstance`` ladder of its own.
 - **Inbound chain**: every delivered message passes through the inbound
   interceptors before dispatch; an interceptor may replace the message or
   drop it (return ``None``).
@@ -72,10 +74,6 @@ class NodeRuntime:
         self.net = network
         self.id = node_id
         self.handlers: dict[type, Handler] = {}
-        #: Handler for message types without a registered handler (the
-        #: replica wires the state-transfer engine here); ``None`` means
-        #: unknown messages are silently ignored.
-        self.fallback: Handler | None = None
         #: Delivery gate: checked before any inbound processing (the
         #: replica wires its crashed check here).
         self.gate: Callable[[], bool] = _always
@@ -132,7 +130,7 @@ class NodeRuntime:
                 if filtered is None:
                     return
                 msg = filtered
-        handler = self.handlers.get(type(msg), self.fallback)
+        handler = self.handlers.get(type(msg))
         if handler is not None:
             handler(src, msg)
 

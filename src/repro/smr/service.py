@@ -48,10 +48,6 @@ class Application(abc.ABC):
     def install_snapshot(self, snapshot: Any) -> None:
         """Replace the service state with ``snapshot``."""
 
-    def state_size(self) -> int:
-        """Current serialized state size estimate (drives snapshot timing)."""
-        return self.snapshot()[1]
-
     def execute_batch(self, batch: list[ClientRequest]) -> dict:
         """Execute a batch in order; returns request key -> ExecutionResult."""
         return {req.key: self.execute(req) for req in batch}
@@ -98,6 +94,9 @@ class DeliveryLayer(abc.ABC):
     _flusher: AsyncFlusher | None = None
     #: Tallies and last report of this layer's local recoveries.
     recovery: RecoveryStats
+    #: Highest cid whose batch this layer has executed (−1: none); a
+    #: state-transfer server waits until it reaches the agreed target.
+    executed_cid: int
 
     def attach(self, replica: "ModSmartReplica") -> None:
         self.replica = replica

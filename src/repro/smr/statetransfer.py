@@ -114,9 +114,12 @@ class StateTransferEngine:
 
     def __init__(self, replica: "ModSmartReplica"):
         self.replica = replica
-        for msg_type in (StProbeMsg, StInfoMsg, StRequestMsg,
-                         StChunkMsg, StHashMsg):
-            replica.runtime.register_handler(msg_type, self.maybe_handle)
+        for msg_type, handler in ((StProbeMsg, self._on_probe),
+                                  (StInfoMsg, self._on_info),
+                                  (StRequestMsg, self._serve),
+                                  (StChunkMsg, self._on_chunk),
+                                  (StHashMsg, self._on_hash)):
+            replica.runtime.register_handler(msg_type, handler)
         self._on_done: Callable[[int], None] | None = None
         self._infos: dict[int, tuple[int, bool]] = {}
         self._expect_self_verified = False
@@ -337,34 +340,21 @@ class StateTransferEngine:
         self.transfers_completed += 1
         self.last_transfer_seconds = self.replica.sim.now - self._started_at
         done, self._on_done = self._on_done, None
-        self.replica.trace.emit(self.replica.sim.now, "state-transfer-done",
-                                replica=self.replica.id, cid=cid,
-                                seconds=self.last_transfer_seconds)
         rt = self.replica.runtime
         if rt.observing:
             rt.notify("state-transfer", phase="done", cid=cid,
                       seconds=self.last_transfer_seconds)
         if done is not None:
             done(cid)
-        self.replica._rearm_proposer("state-transfer", kick=True)
+        self.replica._rearm_proposer(kick=True)
 
     # ------------------------------------------------------------------
     # Sender side
     # ------------------------------------------------------------------
-    def maybe_handle(self, src: int, msg: Message) -> None:
-        """Default handler for state-transfer messages (wired by the replica)."""
-        if isinstance(msg, StProbeMsg):
-            self.replica.send(src, StInfoMsg(
-                last_decided=self.replica.last_decided,
-                self_verifiable=self.replica.delivery.can_self_verify()))
-        elif isinstance(msg, StInfoMsg):
-            self._on_info(src, msg)
-        elif isinstance(msg, StRequestMsg):
-            self._serve(src, msg)
-        elif isinstance(msg, StChunkMsg):
-            self._on_chunk(src, msg)
-        elif isinstance(msg, StHashMsg):
-            self._on_hash(src, msg)
+    def _on_probe(self, src: int, msg: StProbeMsg) -> None:
+        self.replica.send(src, StInfoMsg(
+            last_decided=self.replica.last_decided,
+            self_verifiable=self.replica.delivery.can_self_verify()))
 
     def _serve(self, src: int, msg: StRequestMsg) -> None:
         replica = self.replica
@@ -373,8 +363,7 @@ class StateTransferEngine:
         # Serve only once this replica has *processed* (executed) through
         # the agreed cid — otherwise two servers' packages for the same
         # target would differ by their delivery-pipeline lag.
-        executed = getattr(replica.delivery, "executed_cid", replica.last_decided)
-        if executed < cid:
+        if replica.delivery.executed_cid < cid:
             replica.sim.schedule(0.02, replica.guard(self._serve), src, msg)
             return
         package, nbytes = replica.delivery.capture_state(up_to_cid=cid,

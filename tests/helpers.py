@@ -17,7 +17,6 @@ from repro.core.node import ReplicaGroup, bootstrap
 from repro.crypto.keys import KeyRegistry
 from repro.net.network import Network
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceLog
 from repro.smr.keydir import KeyDirectory
 from repro.smr.replica import ModSmartReplica
 from repro.smr.service import MemoryDelivery
@@ -33,7 +32,6 @@ def make_cluster(
     delivery_factory=None,
     app_factory=None,
     config: SMRConfig | None = None,
-    trace: TraceLog | None = None,
     engine: str | None = None,
 ):
     """A plain SMR cluster with MemoryDelivery+KVStore by default.
@@ -56,7 +54,7 @@ def make_cluster(
                     else MemoryDelivery(app))
         replicas.append(ModSmartReplica(
             sim, network, registry, keydir, replica_id, view, config, costs,
-            delivery, trace=trace, engine=engine))
+            delivery, engine=engine))
     return sim, network, view, replicas, apps
 
 
@@ -68,7 +66,6 @@ def make_consortium(
     verification: VerificationMode = VerificationMode.PARALLEL,
     checkpoint_period: int = 25,
     minters: tuple[str, ...] = (MINTER,),
-    trace: TraceLog | None = None,
     policy=None,
     engine: str | None = None,
 ) -> ReplicaGroup:
@@ -82,7 +79,7 @@ def make_consortium(
     )
     return bootstrap(sim, tuple(range(n)),
                      lambda: SmartCoin(minters=list(minters)),
-                     config, trace=trace, policy=policy, engine=engine)
+                     config, policy=policy, engine=engine)
 
 
 def attach_station(consortium: ReplicaGroup, station_id: int = 900,

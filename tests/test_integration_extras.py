@@ -163,11 +163,8 @@ class TestByzantineLeader:
     def test_bad_accept_signatures_are_ignored(self):
         from repro.consensus.messages import AcceptMsg
         from repro.crypto.keys import Signature
-        from repro.sim.trace import TraceLog
 
-        trace = TraceLog()
-        sim, network, view, replicas, apps = make_cluster(seed=209,
-                                                          trace=trace)
+        sim, network, view, replicas, apps = make_cluster(seed=209)
         station = station_with_clients(sim, network, lambda: view, 1,
                                        lambda i: kv_ops("c", 5))
         station.start_all()

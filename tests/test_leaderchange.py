@@ -6,21 +6,25 @@ from repro.config import SMRConfig, VerificationMode
 from repro.net.network import NetworkConfig
 from repro.net.network import Network
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceLog
 
 from tests.helpers import kv_ops, make_cluster, station_with_clients
 
 
-def cluster_with_timeout(seed=1, request_timeout=0.5, trace=None, n=4):
+def cluster_with_timeout(seed=1, request_timeout=0.5, n=4, events=False):
     config = SMRConfig(n=n, f=(n - 1) // 3, request_timeout=request_timeout)
-    return make_cluster(n=n, seed=seed, config=config, trace=trace)
+    cluster = make_cluster(n=n, seed=seed, config=config)
+    cluster[0].obs.record_events = events
+    return cluster
+
+
+def leader_changes(sim) -> int:
+    return len(sim.obs.events.of_kind("leader-change"))
 
 
 class TestLeaderCrash:
     def test_progress_resumes_after_leader_crash(self):
-        trace = TraceLog()
         sim, network, view, replicas, apps = cluster_with_timeout(
-            seed=21, trace=trace)
+            seed=21, events=True)
         station = station_with_clients(sim, network, lambda: view, 10,
                                        lambda i: kv_ops(f"c{i}", 20))
         station.start_all()
@@ -30,7 +34,7 @@ class TestLeaderCrash:
         survivors = replicas[1:]
         assert all(r.regency >= 1 for r in survivors)
         assert len({a.state_digest() for a in apps[1:]}) == 1
-        assert trace.count("regency-installed") >= 3
+        assert leader_changes(sim) >= 3
 
     def test_two_successive_leader_crashes(self):
         from repro.clients.client import Client
@@ -66,19 +70,16 @@ class TestLeaderCrash:
         assert logs[0] == logs[1] == logs[2]
 
     def test_idle_system_does_not_rotate_leaders(self):
-        trace = TraceLog()
         sim, network, view, replicas, apps = cluster_with_timeout(
-            seed=24, trace=trace)
+            seed=24, events=True)
         sim.run(until=10.0)
-        assert trace.count("regency-installed") == 0
+        assert leader_changes(sim) == 0
         assert all(r.regency == 0 for r in replicas)
 
     def test_change_preserves_vouched_value(self):
         """If the crashed leader's batch reached the ACCEPT stage anywhere,
         the new leader re-proposes it (the STOPDATA writeset rule)."""
-        trace = TraceLog()
-        sim, network, view, replicas, apps = cluster_with_timeout(
-            seed=25, trace=trace)
+        sim, network, view, replicas, apps = cluster_with_timeout(seed=25)
         station = station_with_clients(sim, network, lambda: view, 2,
                                        lambda i: kv_ops(f"c{i}", 10))
         station.start_all()
@@ -129,9 +130,7 @@ class TestExponentialBackoff:
         assert sync._failed_changes == 3
 
     def test_install_records_backed_off_timeout(self):
-        trace = TraceLog()
-        sim, network, view, replicas, apps = cluster_with_timeout(
-            seed=21, trace=trace)
+        sim, network, view, replicas, apps = cluster_with_timeout(seed=21)
         station = station_with_clients(sim, network, lambda: view, 10,
                                        lambda i: kv_ops(f"c{i}", 20))
         station.start_all()

@@ -17,7 +17,6 @@ from repro.clients.client import Client
 from repro.config import PersistenceVariant, StorageMode
 from repro.core.persistence import PersistenceLevel, persistence_level_of
 from repro.ledger import TxRecord
-from repro.sim.trace import TraceLog
 
 from tests.helpers import attach_station, make_consortium, mint_ops_simple
 
@@ -66,10 +65,8 @@ def run_then_full_crash(consortium, txs=25, crash_at=3.0):
 class TestFullCrash:
     def test_weak_full_crash_can_lose_a_suffix(self):
         """The paper's Observation 2, reproduced end to end."""
-        trace = TraceLog()
         consortium = make_consortium(seed=42,
-                                     variant=PersistenceVariant.WEAK,
-                                     trace=trace)
+                                     variant=PersistenceVariant.WEAK)
         run_then_full_crash(consortium)
         sim = consortium.sim
         heights_before = {nid: node.chain.height

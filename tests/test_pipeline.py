@@ -234,6 +234,40 @@ def test_double_propose_guard_keeps_requests_flowing():
     assert not leader.pending
 
 
+@pytest.mark.parametrize("depth", [1, 4])
+def test_sub_batch_starts_batch_timer_only_while_head_propose_in_flight(
+        depth):
+    """The batch-timer rule that makes depth 1 a window of one.  With the
+    window full, a sub-batch that arrives while the head's self-addressed
+    PROPOSE is still in flight starts the batch timer; once the head's
+    instance is open, none starts."""
+    sim, _, _, replicas, _ = make_cluster(
+        config=SMRConfig(n=4, f=1, pipeline_depth=depth, batch_size=4))
+    leader = replicas[0]
+    issued = []
+
+    def arrive(count: int) -> None:
+        batch = [ClientRequest(client_id=70, req_id=len(issued) + i,
+                               op=("put", f"t{len(issued) + i}", i),
+                               signed=False) for i in range(count)]
+        issued.extend(batch)
+        leader.ingest_requests(batch)
+
+    arrive(4 * depth)  # one full batch per slot: the window fills
+    assert leader._proposed_head == depth - 1
+    assert leader._batch_timer is None
+    assert not leader.engine.has_open_proposal(0)
+    arrive(1)
+    assert leader._batch_timer is not None
+
+    leader.cancel_batch_timer()
+    while not leader.engine.has_open_proposal(0):
+        assert sim.step()
+    assert leader.last_decided == -1
+    arrive(1)
+    assert leader._batch_timer is None
+
+
 # ======================================================================
 # Stall watchdog under withheld votes
 # ======================================================================

@@ -48,15 +48,6 @@ class TestDispatch:
         sim.run()
         assert seen == []
 
-    def test_fallback_catches_unhandled_types(self):
-        sim, net, rt, _ = build()
-        seen = []
-        rt.register_handler(Ping, lambda s, m: None)
-        rt.fallback = lambda s, m: seen.append(m)
-        net.send(2, 1, Pong(size=10))
-        sim.run()
-        assert len(seen) == 1 and isinstance(seen[0], Pong)
-
     def test_dispatch_is_exact_type_not_subclass(self):
         # Ping subclasses Message; a Message handler must not catch Ping.
         sim, net, rt, _ = build()

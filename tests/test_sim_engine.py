@@ -5,7 +5,14 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.resource import Resource
-from repro.sim.trace import LatencyRecorder, ThroughputMeter, trimmed_mean
+from repro.sim.trace import (
+    LatencyRecorder,
+    ThroughputMeter,
+    bucket_timeline,
+    merge_stamps,
+    op_window_rates,
+    trimmed_mean,
+)
 
 
 class TestScheduling:
@@ -298,17 +305,12 @@ class TestMeters:
         for t in (0.1, 0.2, 1.1, 1.2, 1.3):
             sim.schedule(t, meter.record)
         sim.run(until=2.0)
-        rates = meter.interval_rates(1.0)
-        assert rates == [2.0, 3.0]
+        timeline = bucket_timeline(merge_stamps([meter]), 2.0, 1.0)
+        assert timeline == [(0.5, 2.0), (1.5, 3.0)]
         assert meter.total == 5
-
-    def test_throughput_meter_rate_window(self):
-        sim = Simulator()
-        meter = ThroughputMeter(sim)
-        for t in (0.5, 1.5, 2.5, 3.5):
-            sim.schedule(t, meter.record)
-        sim.run(until=4.0)
-        assert meter.rate(start=1.0, end=4.0) == pytest.approx(1.0)
+        # A start bound drops the earlier stamps before bucketing.
+        late = bucket_timeline(merge_stamps([meter], start=1.0), 2.0, 1.0)
+        assert late == [(0.5, 0.0), (1.5, 3.0)]
 
     def test_op_interval_rates(self):
         sim = Simulator()
@@ -317,7 +319,7 @@ class TestMeters:
         for i in range(1, 11):
             sim.schedule(i * 0.1, meter.record)
         sim.run(until=2.0)
-        rates = meter.op_interval_rates(5)
+        rates = op_window_rates(merge_stamps([meter]), 5)
         assert len(rates) >= 1
         for rate in rates:
             assert rate == pytest.approx(10.0, rel=0.01)

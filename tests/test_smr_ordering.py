@@ -4,7 +4,6 @@ import pytest
 
 from repro.clients.client import Client, ClientStation, OpSpec
 from repro.config import SMRConfig, VerificationMode
-from repro.sim.trace import TraceLog
 
 from tests.helpers import kv_ops, make_cluster, station_with_clients
 
@@ -127,10 +126,12 @@ class TestBatching:
 
 class TestTrace:
     def test_trace_records_proposals_and_decisions(self):
-        trace = TraceLog()
-        sim, network, view, replicas, apps = make_cluster(seed=11,
-                                                          trace=trace)
+        sim, network, view, replicas, apps = make_cluster(seed=11)
+        sim.obs.record_events = True
         drive(sim, network, view, n_clients=1, ops_per_client=3)
-        assert trace.count("propose") >= 1
-        decides = trace.of_kind("decide")
-        assert len(decides) >= 4  # at least one decision on each replica
+        events = sim.obs.events
+        proposed = [e for e in events.of_kind("consensus-phase")
+                    if e.fields["phase"] == "proposed"]
+        assert proposed
+        decided = {e.node for e in events.of_kind("decide")}
+        assert decided == set(view.members)  # every replica decided

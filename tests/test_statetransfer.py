@@ -193,11 +193,12 @@ def _offer(laggard, server, vouchers, package, digest) -> None:
     """Hand ``laggard`` a full reply from ``server`` and hashes from
     ``vouchers``, all answering its current request round."""
     engine = laggard.replica.state_transfer
+    deliver = laggard.replica.runtime.deliver
     target = package[0]
     for voucher in vouchers:
-        engine.maybe_handle(voucher.id, StHashMsg(
+        deliver(voucher.id, StHashMsg(
             up_to_cid=target, digest=digest, transfer_id=engine._round))
-    engine.maybe_handle(server.id, StChunkMsg(
+    deliver(server.id, StChunkMsg(
         up_to_cid=target, final=True, package=package, digest=digest,
         transfer_id=engine._round))
 
@@ -436,11 +437,11 @@ class TestRetryAndStaleMessages:
     def _reply(self, replicas, package, transfer_id: int) -> None:
         """A consistent full reply + f hashes for ``package``, delivered
         to replica 2."""
-        engine = replicas[2].state_transfer
+        deliver = replicas[2].runtime.deliver
         digest = replicas[0].delivery.package_digest(package)
-        engine.maybe_handle(1, StHashMsg(
+        deliver(1, StHashMsg(
             up_to_cid=package[0], digest=digest, transfer_id=transfer_id))
-        engine.maybe_handle(0, StChunkMsg(
+        deliver(0, StChunkMsg(
             up_to_cid=package[0], final=True, package=package, digest=digest,
             transfer_id=transfer_id))
 
