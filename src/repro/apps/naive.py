@@ -18,6 +18,7 @@ from typing import Any
 
 from repro.config import StorageMode
 from repro.crypto.hashing import EMPTY_DIGEST, hash_obj_cached
+from repro.smr import scheduler
 from repro.smr.recovery import LINKED
 from repro.smr.requests import Decision
 from repro.smr.service import Application, SequentialDelivery
@@ -46,13 +47,13 @@ class NaiveBlockchainDelivery(SequentialDelivery):
     # Sequential processing (one batch at a time, like the real service)
     # ------------------------------------------------------------------
     def process(self, decision: Decision, done) -> None:
-        replica = self.replica
-        costs = replica.costs
-        work = replica.execution_cost(decision.batch)
-        work += costs.naive_ledger_build_per_tx * len(decision.batch)
+        costs = self.replica.costs
         block_bytes = decision.payload_bytes() + 160
-        work += costs.crypto.hash_time_per_kb * (block_bytes / 1024)
-        replica.charge_sm(work, self._apply, decision, done)
+        scheduler.charge_execution(
+            self.replica, self.app, decision.batch,
+            (costs.naive_ledger_build_per_tx * len(decision.batch),
+             costs.crypto.hash_time_per_kb * (block_bytes / 1024)),
+            self._apply, decision, done)
 
     def _apply(self, decision: Decision, done) -> None:
         replica = self.replica

@@ -74,7 +74,7 @@ _ENGINE_SYSTEMS = frozenset({"smartchain", "naive", "dura"})
 
 #: Workload generators :func:`repro.workloads.coingen.deploy_clients`
 #: understands.
-_VALID_WORKLOADS = frozenset({"mint", "spend", "mint_then_spend"})
+_VALID_WORKLOADS = frozenset({"mint", "spend"})
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +111,8 @@ class Scenario:
     #: systems only.
     pipeline_depth: int = 1
     #: Modeled execution cores (``SMRConfig.exec_cores``) for parallel
-    #: deterministic execution; 1 = execute on the SM thread.
+    #: deterministic execution, the same on every engine-hosting system;
+    #: 1 = each batch is one job on the SM thread.
     exec_cores: int = 1
     n: int = 4
     clients: int = 2400
@@ -126,14 +127,9 @@ class Scenario:
     costs: CostModel | None = None
     config: Any = None
     label: str | None = None
-    op_window: int = 2000
     #: Record metrics, pipeline spans and resource utilization; the result
     #: then carries a machine-readable report (ExperimentResult.report).
     observe: bool = False
-    #: Trace one request in this many (deterministic in the request key).
-    trace_sample_every: int = 1
-    #: Record the typed protocol event stream (defaults to ``observe``).
-    record_events: bool | None = None
     #: Attach the online safety auditor (implies event recording); any
     #: invariant violation raises AuditError when the run finishes.
     audit: bool = False
@@ -679,13 +675,9 @@ def run(scenario: Scenario) -> ExperimentResult:
     if scenario.faults is not None:
         from repro.faults import load_plan
         plan = load_plan(scenario.faults)
-    record_events = scenario.record_events
-    if record_events is None:
-        record_events = scenario.observe
     costs = scenario.costs or CostModel()
     obs = Observability(enabled=scenario.observe,
-                        sample_every=scenario.trace_sample_every,
-                        record_events=(record_events or scenario.audit
+                        record_events=(scenario.observe or scenario.audit
                                        or scenario.audit_liveness),
                         event_capacity=scenario.event_capacity)
     sim = Simulator(scenario.seed, obs=obs)
@@ -699,7 +691,6 @@ def run(scenario: Scenario) -> ExperimentResult:
 
     result = _measure(built.stations, scenario.duration,
                       scenario.label or built.label,
-                      op_window=scenario.op_window,
                       warmup=scenario.warmup,
                       metrics=_collect(sim, built, caches))
     result.handle = RunHandle(scenario=scenario, sim=sim, obs=obs,

@@ -179,9 +179,12 @@ class SMRConfig:
     pipeline_depth: int = 1
     #: Modeled cores of the execution pool used to run non-conflicting
     #: operations of a decided batch concurrently (applications declare
-    #: conflicts via ``Application.conflict_keys``).  ``1`` executes on the
-    #: single state-machine thread, exactly as before.  Results and replies
-    #: are byte-identical for every value — only the modeled time changes.
+    #: conflicts via ``Application.conflict_keys``; an operation without
+    #: one is a barrier).  ``1`` executes each batch as one job on the
+    #: state-machine thread.  Every engine-hosting delivery layer charges
+    #: through :func:`repro.smr.scheduler.charge_execution`, so the value
+    #: means the same everywhere.  Results and replies are byte-identical
+    #: for every value — only the modeled time changes.
     exec_cores: int = 1
     #: How long the strong variant waits for a certificate quorum before
     #: finishing a block uncertified (it is re-certified once the missing

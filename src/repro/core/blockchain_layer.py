@@ -259,19 +259,13 @@ class SmartChainDelivery(SequentialDelivery):
                     + costs.batch_overhead)
             self.charge_sm(work, self._apply_catchup, decision, txs,
                            number, done)
-        elif scheduler.parallel_execution(replica, self.app):
-            # Per-transaction work runs on the exec pool; block building
-            # and body hashing stay on the SM thread.
-            serial = (costs.batch_overhead + costs.block_build_overhead
-                      + costs.crypto.hash_time_per_kb * (body_bytes / 1024))
-            scheduler.charge_execution(replica, self.app, decision.batch,
-                                       serial, self.current(self._executed),
-                                       decision, txs, number, done)
         else:
-            work = replica.execution_cost(decision.batch)
-            work += costs.block_build_overhead
-            work += costs.crypto.hash_time_per_kb * (body_bytes / 1024)
-            self.charge_sm(work, self._executed, decision, txs, number, done)
+            # Block building and body hashing stay on the SM thread.
+            scheduler.charge_execution(
+                replica, self.app, decision.batch,
+                (costs.block_build_overhead,
+                 costs.crypto.hash_time_per_kb * (body_bytes / 1024)),
+                self.current(self._executed), decision, txs, number, done)
 
     def _build_body(self, number: int, decision: Decision, txs: tuple,
                     results: tuple, **reconfig: Any) -> BlockBody:
@@ -327,27 +321,8 @@ class SmartChainDelivery(SequentialDelivery):
         # Certificate from already-buffered PERSIST votes, if any; no wait.
         if (self.variant is PersistenceVariant.STRONG
                 and self.storage is not StorageMode.MEMORY):
-            digest = block.digest()
-            votes = self._persist_votes.pop(number, {})
-            recorded = self.recorded_members.get(replica.cv.view_id, set())
-            matching = {rid: sig for rid, (d, sig) in votes.items()
-                        if d == digest and rid in recorded}
-            if len(matching) >= replica.cert_quorum:
-                certificate = Certificate(number, digest,
-                                          replica.cv.view_id)
-                for rid, signature in matching.items():
-                    certificate.add(rid, signature)
-                block.certificate = certificate
-                self.certs_completed += 1
-                self._count("chain.certs_completed")
-                rt = replica.runtime
-                if rt.observing:
-                    rt.notify("persist-certificate", block=number,
-                              digest=digest.hex(), view=replica.cv.view_id,
-                              signers=sorted(matching))
-                replica.store.append(
-                    self.LOG, ("cert", number, certificate.to_record()),
-                    certificate.size_bytes())
+            self._certify(number, block.digest(),
+                          self._persist_votes.pop(number, {}))
         lag = replica.last_decided - decision.cid
         if lag <= self.CATCHUP_LAG:
             # Caught up: make everything stable and re-certify stragglers.
@@ -514,19 +489,29 @@ class SmartChainDelivery(SequentialDelivery):
         if waiting is None:
             return
         digest, completion = waiting
-        votes = self._persist_votes.get(number, {})
-        view = self.replica.cv
-        recorded = self.recorded_members.get(view.view_id, set())
-        matching = {rid: sig for rid, (d, sig) in votes.items()
-                    if d == digest and rid in recorded}
-        if len(matching) < self.replica.cert_quorum:
+        if not self._certify(number, digest,
+                             self._persist_votes.get(number, {})):
             return
         del self._persist_waits[number]
         timer = self._persist_timers.pop(number, None)
         if timer is not None:
             timer.cancel()
         self._persist_votes.pop(number, None)
-        certificate = Certificate(number, digest, view.view_id)
+        self.charge_sm(self.replica.costs.persist_handling, completion)
+
+    def _certify(self, number: int, digest: bytes, votes: dict) -> bool:
+        """Certify block ``number`` from the PERSIST ``votes`` for
+        ``digest`` by members recorded in the current view: attach the
+        certificate, count it, announce it and log it.  False, with
+        nothing done, below the certificate quorum."""
+        replica = self.replica
+        view_id = replica.cv.view_id
+        recorded = self.recorded_members.get(view_id, set())
+        matching = {rid: sig for rid, (d, sig) in votes.items()
+                    if d == digest and rid in recorded}
+        if len(matching) < replica.cert_quorum:
+            return False
+        certificate = Certificate(number, digest, view_id)
         for rid, signature in matching.items():
             certificate.add(rid, signature)
         try:
@@ -535,18 +520,18 @@ class SmartChainDelivery(SequentialDelivery):
             pass  # block not held locally (cannot happen in practice)
         self.certs_completed += 1
         self._count("chain.certs_completed")
-        rt = self.replica.runtime
+        rt = replica.runtime
         if rt.observing:
             rt.notify("persist-certificate", block=number,
-                      digest=digest.hex(), view=view.view_id,
+                      digest=digest.hex(), view=view_id,
                       signers=sorted(matching))
         if self.storage is not StorageMode.MEMORY:
             # Line 34: the certificate write is asynchronous — after a full
             # crash the group can always recreate the same certificate.
-            self.replica.store.append(
+            replica.store.append(
                 self.LOG, ("cert", number, certificate.to_record()),
                 certificate.size_bytes())
-        self.charge_sm(self.replica.costs.persist_handling, completion)
+        return True
 
     def repersist_missing(self, on_done: Callable[[], None] | None = None) -> None:
         """Re-run the PERSIST phase for blocks lacking certificates (after a

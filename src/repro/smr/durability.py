@@ -112,25 +112,14 @@ class DuraSmartDelivery(DeliveryLayer):
         if obs.enabled:
             obs.metrics.histogram(
                 "dura.group_size", node=self.replica.id).observe(len(group))
-        replica = self.replica
-        costs = replica.costs
-        if scheduler.parallel_execution(replica, self.app):
-            # The whole group is one dependency plan — ordering across the
-            # group's decisions is preserved by batch concatenation order —
-            # while the per-delivery overhead and log serialization stay on
-            # the SM thread.
-            combined = [req for d in group for req in d.batch]
-            serial = (costs.batch_overhead
-                      + costs.dura_log_per_tx * len(combined))
-            scheduler.charge_execution(replica, self.app, combined, serial,
-                                       self._apply_group, group)
-            return
-        # One per-delivery overhead for the whole group (the key win).
-        work = costs.batch_overhead
-        for decision in group:
-            work += replica.execution_cost(decision.batch) - costs.batch_overhead
-            work += costs.dura_log_per_tx * len(decision.batch)
-        replica.charge_sm(work, self._apply_group, group)
+        # The whole group is one batch — one per-delivery overhead (the key
+        # win) and one dependency plan, ordered by concatenation — with log
+        # serialization on the SM thread.
+        combined = [req for d in group for req in d.batch]
+        scheduler.charge_execution(
+            self.replica, self.app, combined,
+            (self.replica.costs.dura_log_per_tx * len(combined),),
+            self._apply_group, group)
 
     def _apply_group(self, group: list[Decision]) -> None:
         replica = self.replica

@@ -123,9 +123,9 @@ class ModSmartReplica:
         self.verify_pool = Resource(sim, config.verify_pool_size,
                                     name=f"pool-{replica_id}")
         #: Execution core pool for parallel deterministic execution
-        #: (repro.smr.scheduler).  None at exec_cores=1: execution stays on
-        #: the state-machine thread and no extra resource appears in
-        #: reports, keeping default-config exports byte-identical.
+        #: (repro.smr.scheduler.charge_execution).  None at exec_cores=1:
+        #: each batch is one state-machine-thread job and no extra resource
+        #: appears in reports.
         self.exec_pool = (
             Resource(sim, config.exec_cores, name=f"exec-{replica_id}")
             if config.exec_cores > 1 else None)
@@ -243,21 +243,6 @@ class ModSmartReplica:
     def charge_pool_bulk(self, unit: float, count: int,
                          fn: Callable[..., Any], *args: Any) -> None:
         self.verify_pool.submit_bulk(unit, count, self.guard(fn), *args)
-
-    def execution_cost(self, batch: list[ClientRequest]) -> float:
-        """SM-thread cost of executing ``batch`` and marshalling replies.
-
-        With SEQUENTIAL verification, signature checks run here too —
-        the naive design of Observation 1.
-        """
-        costs = self.costs
-        work = costs.batch_overhead
-        work += len(batch) * (costs.exec_time_per_tx + costs.reply_time_per_tx)
-        signed = sum(1 for req in batch if req.signed)
-        work += signed * costs.signed_tx_sm_overhead
-        if self.config.verification is VerificationMode.SEQUENTIAL:
-            work += signed * costs.crypto.verify_time
-        return work
 
     # ==================================================================
     # Keys

@@ -12,18 +12,19 @@ module models exactly that, without giving up determinism:
    with every conflicting predecessor (write/write, write/read and
    read/write conflicts order operations; an op declaring ``None`` is a
    barrier: it waits for everything before it and blocks everything after).
-2. :func:`charge_execution` charges the per-transaction work of each level
-   onto the replica's ``exec_pool`` (``Resource(servers=exec_cores)``), one
-   level after another, then runs the continuation.  Per-batch overheads
-   stay on the state-machine thread.
+2. :func:`charge_execution` is how every delivery layer charges execution.
+   Without an execution pool (``exec_cores=1``) the levels would run back
+   to back, so the whole batch is one state-machine-thread job.  With a
+   pool (``Resource(servers=exec_cores)``) the per-transaction work of
+   each level is charged onto it, one level after another, then the
+   continuation runs; per-batch work stays on the state-machine thread.
 
 Only the *timing* is parallel.  The batch itself is still executed by
 ``Application.execute_batch`` in sequence order on one interpreter, so
 results, reply payloads, digests and the blockchain layer are byte-identical
 for every core count; levels are derived deterministically from batch order.
-With ``exec_cores=1`` (or an application that does not override
-``conflict_keys``) the delivery layers never call into this module and take
-their exact pre-scheduler code path.
+An application that declares no footprints makes every operation a barrier,
+so on a pool its levels run one operation at a time.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.config import VerificationMode
-from repro.smr.service import Application
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.smr.replica import ModSmartReplica
     from repro.smr.requests import ClientRequest
+    from repro.smr.service import Application
 
-__all__ = ["ExecutionPlan", "parallel_execution", "plan_batch",
-           "per_tx_cost", "charge_execution"]
+__all__ = ["ExecutionPlan", "plan_batch", "per_tx_cost", "charge_execution"]
 
 
 @dataclass
@@ -55,21 +55,8 @@ class ExecutionPlan:
     def critical_path(self) -> int:
         return len(self.levels)
 
-    @property
-    def n_ops(self) -> int:
-        return sum(len(level) for level in self.levels)
 
-
-def parallel_execution(replica: "ModSmartReplica", app: Application) -> bool:
-    """True when this replica models parallel execution for ``app`` — an
-    execution pool exists (``exec_cores > 1``) and the application declares
-    conflicts.  Delivery layers keep their exact serial code path when this
-    is False."""
-    return (replica.exec_pool is not None
-            and type(app).conflict_keys is not Application.conflict_keys)
-
-
-def plan_batch(app: Application,
+def plan_batch(app: "Application",
                batch: "list[ClientRequest]") -> ExecutionPlan:
     """Assign every operation of ``batch`` (in order) to its earliest
     compatible level.  Deterministic: a pure function of the batch order
@@ -115,10 +102,9 @@ def plan_batch(app: Application,
 
 
 def per_tx_cost(replica: "ModSmartReplica", req: "ClientRequest") -> float:
-    """The per-transaction share of :meth:`ModSmartReplica.execution_cost`
-    — execution, reply marshalling, signed-request overhead and (in the
-    SEQUENTIAL mode) the signature check.  This is the independent,
-    parallelizable work; per-batch overheads stay on the SM thread."""
+    """The per-transaction work of executing ``req`` — execution, reply
+    marshalling, signed-request overhead and (in the SEQUENTIAL mode) the
+    signature check.  This is the independent, parallelizable work."""
     costs = replica.costs
     work = costs.exec_time_per_tx + costs.reply_time_per_tx
     if req.signed:
@@ -128,21 +114,39 @@ def per_tx_cost(replica: "ModSmartReplica", req: "ClientRequest") -> float:
     return work
 
 
-def charge_execution(replica: "ModSmartReplica", app: Application,
-                     batch: "list[ClientRequest]", serial_work: float,
+def charge_execution(replica: "ModSmartReplica", app: "Application",
+                     batch: "list[ClientRequest]", serial: tuple[float, ...],
                      fn: Callable[..., None], *args) -> None:
-    """Charge the modeled cost of executing ``batch`` on the exec pool,
-    then run ``fn(*args)``.
+    """Charge the modeled cost of executing ``batch``, then run ``fn(*args)``.
 
-    ``serial_work`` (per-batch overheads, durability logging, ...) is
-    charged on the state-machine thread first; each dependency level of
-    the plan is then an aggregate pool job (makespan = level work spread
-    over the cores), chained in order.  The caller is responsible for
-    checking :func:`parallel_execution` and keeping its serial path
-    untouched when that is False.
+    ``serial`` holds the caller's own state-machine-thread terms (block
+    building, body hashing, durability logging, ...); the per-batch
+    overhead is added here.  Without an exec pool the batch is one
+    state-machine-thread job: the overhead, the per-transaction work, then
+    ``serial``.  With a pool the state-machine thread charges the overhead
+    and ``serial`` first; each dependency level of the plan is then an
+    aggregate pool job (makespan = level work spread over the cores),
+    chained in order.
+
+    Terms are summed in exactly that order: float addition does not
+    associate, and a reordered sum moves event timestamps by an ulp.
     """
-    plan = plan_batch(app, batch)
+    costs = replica.costs
+    work = costs.batch_overhead
     pool = replica.exec_pool
+    if pool is None:
+        work += len(batch) * (costs.exec_time_per_tx + costs.reply_time_per_tx)
+        signed = sum(1 for req in batch if req.signed)
+        work += signed * costs.signed_tx_sm_overhead
+        if replica.config.verification is VerificationMode.SEQUENTIAL:
+            work += signed * costs.crypto.verify_time
+        for term in serial:
+            work += term
+        replica.charge_sm(work, fn, *args)
+        return
+    for term in serial:
+        work += term
+    plan = plan_batch(app, batch)
     obs = replica.sim.obs
     if obs.enabled:
         metrics = obs.metrics
@@ -167,4 +171,4 @@ def charge_execution(replica: "ModSmartReplica", app: Application,
         pool.submit_bulk(total / len(level), len(level),
                          replica.guard(run_level), index + 1)
 
-    replica.charge_sm(serial_work, run_level, 0)
+    replica.charge_sm(work, run_level, 0)

@@ -19,6 +19,7 @@ import abc
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.config import StorageMode
+from repro.smr import scheduler
 from repro.smr.recovery import RecoveryStats, Replay
 from repro.smr.requests import ClientRequest, Decision
 from repro.storage.stable import AsyncFlusher, checksum
@@ -293,15 +294,8 @@ class MemoryDelivery(DeliveryLayer):
         self.executed_cid = -1
 
     def on_decide(self, decision: Decision) -> None:
-        # Import here to avoid the service <-> scheduler cycle.
-        from repro.smr import scheduler
-        if scheduler.parallel_execution(self.replica, self.app):
-            scheduler.charge_execution(
-                self.replica, self.app, decision.batch,
-                self.replica.costs.batch_overhead, self._apply, decision)
-            return
-        work = self.replica.execution_cost(decision.batch)
-        self.replica.charge_sm(work, self._apply, decision)
+        scheduler.charge_execution(self.replica, self.app, decision.batch,
+                                   (), self._apply, decision)
 
     def _apply(self, decision: Decision) -> None:
         results = self.app.execute_batch(decision.batch)

@@ -7,7 +7,6 @@ from repro.workloads.coingen import (
     endless_mint,
     endless_spend_cycle,
     mint_ops,
-    mint_then_spend,
     spend_ops,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "endless_mint",
     "endless_spend_cycle",
     "mint_ops",
-    "mint_then_spend",
     "spend_ops",
 ]

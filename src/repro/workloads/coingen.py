@@ -23,7 +23,6 @@ from repro.clients.client import Client, ClientStation, OpSpec
 __all__ = [
     "mint_ops",
     "spend_ops",
-    "mint_then_spend",
     "endless_mint",
     "endless_cross_spend",
     "deploy_clients",
@@ -86,13 +85,6 @@ def spend_ops(wallet: Wallet, recipient: str, count: int | None = None,
         produced += 1
         yield OpSpec(wallet.spend_op(coin, recipient), size=SPEND_SIZES[0],
                      reply_size=SPEND_SIZES[1], signed=signed)
-
-
-def mint_then_spend(wallet: Wallet, recipient: str, mint_count: int,
-                    signed: bool = True) -> Iterator[OpSpec]:
-    """Phase 1 then phase 2 for one client, chained."""
-    yield from mint_ops(wallet, mint_count, signed=signed)
-    yield from spend_ops(wallet, recipient, signed=signed)
 
 
 def endless_mint(wallet: Wallet, value: int = 1,
@@ -208,15 +200,13 @@ def deploy_clients(
     workload: str = "spend",
     signed: bool = True,
     station_base: int = 9000,
-    mint_count: int = 8,
     send_window: float = 0.001,
 ) -> tuple[list[ClientStation], list[Wallet]]:
     """Create the paper's client deployment: ``num_clients`` spread over
     ``num_stations`` machines, each driving a SMaRtCoin wallet.
 
-    ``workload``: ``"mint"`` (endless mints), ``"spend"`` (mint a working
-    set then spend-cycle — the phase the paper reports), or
-    ``"mint_then_spend"`` (finite two-phase run).
+    ``workload``: ``"mint"`` (endless mints) or ``"spend"`` (mint a working
+    set then spend-cycle — the phase the paper reports).
     """
     stations = []
     wallets = []
@@ -230,11 +220,8 @@ def deploy_clients(
         wallets.append(wallet)
         if workload == "mint":
             ops = endless_mint(wallet, signed=signed)
-        elif workload == "spend":
-            ops = endless_spend_cycle(wallet, signed=signed)
         else:
-            ops = mint_then_spend(wallet, client_address((index + 1) % num_clients),
-                                  mint_count, signed=signed)
+            ops = endless_spend_cycle(wallet, signed=signed)
         client = Client(station, ops,
                         on_result=_wallet_tracker(wallet))
         del client  # adopted by the station

@@ -13,7 +13,6 @@ from repro.workloads.coingen import (
     client_address,
     deploy_clients,
     mint_ops,
-    mint_then_spend,
     spend_ops,
 )
 

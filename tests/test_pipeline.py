@@ -17,9 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.kvstore import KVStore
+from repro.apps.naive import NaiveBlockchainDelivery
 from repro.apps.smartcoin import SmartCoin, coin_id
 from repro.bench.harness import Scenario, run
-from repro.config import SMRConfig
+from repro.config import SMRConfig, StorageMode, VerificationMode
 from repro.faults.plan import BehaviorSpec, FaultPlan
 from repro.obs.compare import compare_reports
 from repro.smr import scheduler
@@ -54,7 +55,7 @@ def level_of(plan: scheduler.ExecutionPlan) -> dict:
 
 
 # ======================================================================
-# Dependency scheduler (plan_batch / parallel_execution)
+# Dependency scheduler (plan_batch / charge_execution)
 # ======================================================================
 
 class TestPlanBatch:
@@ -63,7 +64,7 @@ class TestPlanBatch:
         batch = [mint_request(client, 1) for client in range(1, 9)]
         plan = scheduler.plan_batch(app, batch)
         assert plan.critical_path == 1
-        assert plan.n_ops == 8
+        assert len(plan.levels[0]) == 8
         assert plan.barrier_ops == 0
 
     def test_spend_of_minted_coin_lands_on_a_later_level(self):
@@ -101,17 +102,20 @@ class TestParallelExecutionGate:
     def test_requires_pool_and_conflict_declarations(self):
         _, _, _, serial, _ = make_cluster(config=SMRConfig(n=4, f=1))
         assert serial[0].exec_pool is None
-        assert not scheduler.parallel_execution(
-            serial[0], SmartCoin(minters=[MINTER]))
-
-        _, _, _, pooled, apps = make_cluster(
-            config=SMRConfig(n=4, f=1, exec_cores=4),
-            app_factory=lambda: SmartCoin(minters=[MINTER]))
+        _, _, _, pooled, _ = make_cluster(
+            config=SMRConfig(n=4, f=1, exec_cores=4))
         assert pooled[0].exec_pool is not None
-        assert scheduler.parallel_execution(pooled[0], apps[0])
-        # KVStore declares no footprints: stays on the serial path even
-        # when an execution pool exists.
-        assert not scheduler.parallel_execution(pooled[0], KVStore())
+
+        coins = [mint_request(client, 1) for client in range(1, 6)]
+        assert scheduler.plan_batch(SmartCoin(minters=[MINTER]),
+                                    coins).critical_path == 1
+        # KVStore declares no footprints: every op is a barrier, so even
+        # on a pool its batch runs one operation at a time.
+        puts = [ClientRequest(client_id=client, req_id=1,
+                              op=("put", f"k{client}", client), signed=False)
+                for client in range(1, 6)]
+        plan = scheduler.plan_batch(KVStore(), puts)
+        assert plan.barrier_ops == plan.critical_path == len(puts)
 
     def test_knobs_reject_non_positive_values(self):
         with pytest.raises(ValueError):
@@ -122,6 +126,80 @@ class TestParallelExecutionGate:
             Scenario(pipeline_depth=0)
         with pytest.raises(ValueError):
             Scenario(exec_cores=-1)
+
+
+class TestOneCoreCharge:
+    """Without an exec pool, ``charge_execution`` is one state-machine-
+    thread job whose length is the closed form of each delivery layer,
+    summed in the same order bit for bit."""
+
+    @pytest.mark.parametrize("verification", [VerificationMode.PARALLEL,
+                                              VerificationMode.SEQUENTIAL])
+    def test_single_sm_job_matches_each_layers_closed_form(self,
+                                                           verification):
+        _, _, _, replicas, _ = make_cluster(
+            config=SMRConfig(n=4, f=1, verification=verification))
+        replica = replicas[0]
+        assert replica.exec_pool is None
+        jobs = []
+        replica.charge_sm = lambda seconds, fn, *args: jobs.append(
+            (seconds, fn, args))
+        costs = replica.costs
+        batch = [ClientRequest(client_id=client, req_id=1,
+                               op=("put", f"k{client}", client),
+                               signed=client % 3 != 0)
+                 for client in range(1, 12)]
+        n = len(batch)
+        signed = sum(1 for req in batch if req.signed)
+        base = costs.batch_overhead
+        base += n * (costs.exec_time_per_tx + costs.reply_time_per_tx)
+        base += signed * costs.signed_tx_sm_overhead
+        if verification is VerificationMode.SEQUENTIAL:
+            base += signed * costs.crypto.verify_time
+        hashing = costs.crypto.hash_time_per_kb * (2345 / 1024)
+        layers = {
+            "memory": ((), base),
+            "dura": ((costs.dura_log_per_tx * n,),
+                     base + costs.dura_log_per_tx * n),
+            "smartchain": ((costs.block_build_overhead, hashing),
+                           base + costs.block_build_overhead + hashing),
+            "naive": ((costs.naive_ledger_build_per_tx * n, hashing),
+                      base + costs.naive_ledger_build_per_tx * n + hashing),
+        }
+        for name, (terms, expected) in layers.items():
+            jobs.clear()
+            continuation = object()
+            scheduler.charge_execution(replica, KVStore(), batch, terms,
+                                       continuation, name)
+            assert jobs == [(expected, continuation, (name,))], name
+
+
+def run_naive_cluster(cores: int):
+    sim, network, view, replicas, apps = make_cluster(
+        config=SMRConfig(n=4, f=1, exec_cores=cores),
+        app_factory=lambda: SmartCoin(minters=[MINTER]),
+        delivery_factory=lambda app: NaiveBlockchainDelivery(
+            app, StorageMode.SYNC))
+    station = station_with_clients(sim, network, lambda: view, 4,
+                                   lambda index: mint_ops_simple(4))
+    station.start_all()
+    sim.run(until=3.0)
+    assert station.meter.total == 16
+    digests = {(app.state_digest(), r.delivery.prev_hash)
+               for app, r in zip(apps, replicas)}
+    assert len(digests) == 1, "replicas diverged within one run"
+    return replicas, digests.pop()
+
+
+def test_naive_exec_cores_busy_the_pool_and_keep_the_state():
+    """``exec_cores`` means the same on the naive layer as on the others:
+    two cores move execution onto the pool, and the application state and
+    the chain head match the one-core run."""
+    serial, one_core = run_naive_cluster(1)
+    assert all(r.exec_pool is None for r in serial)
+    pooled, two_cores = run_naive_cluster(2)
+    assert all(r.exec_pool.busy_time > 0 for r in pooled)
+    assert one_core == two_cores
 
 
 # ======================================================================

@@ -283,6 +283,7 @@ class TestScenarioValidation:
         (dict(shards=2, system="dura"), "sharding requires"),
         (dict(cross_shard_fraction=-0.1), "cross_shard_fraction"),
         (dict(cross_shard_fraction=1.01), "cross_shard_fraction"),
+        (dict(workload="mint_then_spend"), "unknown workload"),
     ])
     def test_fail_fast_at_construction(self, kwargs, match):
         with pytest.raises(ValueError, match=match):

@@ -340,13 +340,14 @@ def _event_log_sha256(events, drop=()) -> str:
     return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("system,plan,duration,drop,pinned,engine,depth", [
+@pytest.mark.parametrize(
+    "system,plan,duration,drop,pinned,engine,depth,cores", [
     ("dura", "bitrot-recovery", 3.0, (),
      "29842a05b5339300b078f951e81849b9a762792129d7f2d12022349d984a7fcf",
-     "modsmart", 1),
+     "modsmart", 1, 1),
     ("dura", "torn-write-recovery", 3.0, (),
      "02dad8bbd819e0da2a302a96b17a8aff2e0e2801452d39d9117127f3c7a2f676",
-     "modsmart", 1),
+     "modsmart", 1, 1),
     # Modulo the one deliberate event-field change: ``recovery-fallback
     # .from_cid`` was always −1 under SMARTCHAIN (read after on_crash reset
     # it) and is now the last adopted cid, so it is left out of the hash
@@ -363,32 +364,38 @@ def _event_log_sha256(events, drop=()) -> str:
     # blocks, 600 more requests answered inside the 3.5 s.
     ("smartchain", LEADER_CRASH, 3.5, (("recovery-fallback", "from_cid"),),
      "2ba78470147bd5fe617a5a4177bbb2d565712ed06083bc095e0b359d5907d48a",
-     "modsmart", 1),
+     "modsmart", 1, 1),
     # The second engine, pinned at 1fa2b35 before the code both engines
     # spelled twice moved into ConsensusEngine.  Under FastBFT the bit-rot
     # truncates replica 0's log to nothing, in two fallback steps.
     ("smartchain", LEADER_CRASH, 3.5, (("recovery-fallback", "from_cid"),),
      "772da287212edc6382c819296541f1654e1fde3f34667774e96fc821ba91b23b",
-     "fastbft", 1),
+     "fastbft", 1, 1),
     # Four instances in flight, pinned at 331f8cc before the sequential
     # propose loop became the window loop's one-slot case.  The bit-rot
     # row runs the batch timer against a full window; the leader-crash
     # row adds regency changes, SYNC adoption and pipeline stalls.
     ("dura", "bitrot-recovery", 3.0, (),
      "eeb9d1fb0f68873cd5dfa8491ef53e85984be22a71e0900f4621d652d7a60258",
-     "modsmart", 4),
+     "modsmart", 4, 1),
     ("smartchain", LEADER_CRASH, 3.5, (("recovery-fallback", "from_cid"),),
      "b9eb8797a4a60809c29d2b03ccc909f6c9af104ca9babb5cafd6ef3958c2e879",
-     "modsmart", 4),
+     "modsmart", 4, 1),
+    # Two execution cores, pinned at 22b9ae8 before serial execution
+    # became the one-core case of the scheduler: the only pin on the
+    # exec-pool path.
+    ("dura", "bitrot-recovery", 3.0, (),
+     "1f6bc3d79bf1a4a7fa072281f92a018270bdaad2567ee8499aab4fc1547741b7",
+     "modsmart", 4, 2),
 ])
 def test_event_log_identical_to_pre_refactor_commit(system, plan, duration,
                                                     drop, pinned, engine,
-                                                    depth):
+                                                    depth, cores):
     """The Dura-SMaRt rows are pinned at commit 163d5f2 (three hand-written
     recover_local copies), before recovery moved onto the shared replay."""
     result = run(Scenario(system=system, clients=300, duration=duration,
                           seed=1, audit=True, faults=plan, engine=engine,
-                          pipeline_depth=depth))
+                          pipeline_depth=depth, exec_cores=cores))
     events = result.handle.obs.events
     assert events.dropped == 0
     if not drop:
