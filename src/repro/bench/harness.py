@@ -88,9 +88,7 @@ class Scenario:
     ``naive`` (app-level blockchain on BFT-SMART), ``dura`` (Dura-SMaRt
     durability layer), ``tendermint`` or ``fabric`` (Table II comparators).
     The consensus-related fields (``variant``, ``storage``, ``verification``,
-    ``checkpoint_period``) apply to the systems that have them; ``config``
-    carries a :class:`TendermintConfig`/:class:`FabricConfig` override for
-    the comparators.
+    ``checkpoint_period``) apply to the systems that have them.
     """
 
     system: str = "smartchain"
@@ -124,8 +122,6 @@ class Scenario:
     storage: StorageMode = StorageMode.SYNC
     verification: VerificationMode = VerificationMode.PARALLEL
     checkpoint_period: int = 10_000
-    costs: CostModel | None = None
-    config: Any = None
     label: str | None = None
     #: Record metrics, pipeline spans and resource utilization; the result
     #: then carries a machine-readable report (ExperimentResult.report).
@@ -298,9 +294,12 @@ class ExperimentResult:
                 f"{self.latency_mean * 1000:>7.1f} ms")
 
 
+#: Operations per throughput interval of :func:`_measure`.
+OP_WINDOW = 2000
+
+
 def _measure(stations: list[ClientStation], duration: float,
-             label: str, op_window: int = 2000,
-             warmup: float = DEFAULT_WARMUP,
+             label: str, warmup: float = DEFAULT_WARMUP,
              metrics: dict | None = None) -> ExperimentResult:
     # The paper's method: throughput per fixed operation-count interval,
     # discard the 20% with the greatest deviation, average the rest.
@@ -310,7 +309,7 @@ def _measure(stations: list[ClientStation], duration: float,
     # Short runs shrink the window so at least a few intervals form — but a
     # window must still span several reply bursts (blocks complete up to
     # 512 transactions at one instant), or burst-local rates explode.
-    op_window = max(1100, min(op_window, total_in_window // 3 or 1100))
+    op_window = max(1100, min(OP_WINDOW, total_in_window // 3 or 1100))
     rates = op_window_rates(in_window, op_window)
     if rates:
         throughput = trimmed_mean(rates)
@@ -499,7 +498,7 @@ def _build_comparator(sim: Simulator, sc: Scenario, costs: CostModel,
     """A Table II comparator: its own cluster model, the same clients."""
     network = Network(sim, costs.network)
     minters = all_minter_addresses(sc.clients)
-    cluster = cluster_type(sim, network, sc.config or config_type(), costs,
+    cluster = cluster_type(sim, network, config_type(), costs,
                            lambda: SmartCoin(minters=minters))
     view = cluster.view()
     stations, _ = deploy_clients(sim, network, lambda: view, sc.clients,
@@ -675,7 +674,7 @@ def run(scenario: Scenario) -> ExperimentResult:
     if scenario.faults is not None:
         from repro.faults import load_plan
         plan = load_plan(scenario.faults)
-    costs = scenario.costs or CostModel()
+    costs = CostModel()
     obs = Observability(enabled=scenario.observe,
                         record_events=(scenario.observe or scenario.audit
                                        or scenario.audit_liveness),

@@ -242,9 +242,6 @@ class SmartChainConfig:
     storage: StorageMode = StorageMode.SYNC
     #: Checkpoint period z, in *blocks* (Section V-B3); written to genesis.
     checkpoint_period: int = 1000
-    #: Estimated serialized application state size used for snapshot and
-    #: state-transfer timing (Figure 7 uses a 1 GB state).
-    state_size_bytes: int = 64 * 1024
 
     @property
     def quorum(self) -> int:

@@ -32,7 +32,7 @@ comparison is meaningful even while the system keeps processing new blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Sequence
 
 from repro.config import PersistenceVariant, SmartChainConfig, StorageMode
@@ -83,7 +83,9 @@ class ReconfigOutcome:
 
 @dataclass
 class CheckpointInfo:
-    """A service snapshot and the chain position it covers."""
+    """A service snapshot and the chain position it covers.  A state
+    package's anchor carries it as a tuple in field order, which
+    ``CheckpointInfo(*anchor)`` reads back."""
 
     block_number: int
     consensus_id: int
@@ -170,11 +172,11 @@ class SmartChainDelivery(SequentialDelivery):
         super().attach(replica)
         replica.register_handler(PersistMsg, self._on_persist)
         self._write_genesis()
-        self._checkpoints = [self._make_checkpoint_info(0, -1)]
-        #: The service state before block 1 — what a replay that finds no
-        #: usable snapshot starts from.  A function of the application's
-        #: factory, so it outlives a crash.
-        self._initial_snapshot = self._checkpoints[0].snapshot
+        #: The checkpoint at genesis — what a restore that finds no usable
+        #: snapshot starts from.  A function of the application's factory,
+        #: so it outlives a crash.
+        self._genesis = self._make_checkpoint_info(0, -1)
+        self._checkpoints = [self._genesis]
 
     def _write_genesis(self) -> None:
         store = self.replica.store
@@ -188,6 +190,11 @@ class SmartChainDelivery(SequentialDelivery):
     @property
     def persistence_level(self):
         return persistence_level_of(self.variant, self.storage)
+
+    def _log(self, record: tuple, nbytes: int) -> None:
+        """Append ``record`` to the chain file; memory storage keeps none."""
+        if self.storage is not StorageMode.MEMORY:
+            self.replica.store.append(self.LOG, record, nbytes)
 
     def _make_checkpoint_info(self, block_number: int,
                               consensus_id: int) -> CheckpointInfo:
@@ -240,10 +247,8 @@ class SmartChainDelivery(SequentialDelivery):
         # file as soon as it is decided — the disk works in parallel with
         # execution.
         body_bytes = decision.payload_bytes() + 64 + 72 * len(decision.proof)
-        if self.storage is not StorageMode.MEMORY:
-            replica.store.append(
-                self.LOG, ("txs", number, decision.cid, txs,
-                           decision.batch_hash), body_bytes)
+        self._log(("txs", number, decision.cid, txs, decision.batch_hash),
+                  body_bytes)
         costs = replica.costs
         special = bool(decision.batch and decision.batch[0].special)
         if special and self.reconfig_handler is not None:
@@ -273,10 +278,8 @@ class SmartChainDelivery(SequentialDelivery):
         results, the results appended to the chain file.  Body and records
         hold the same row tuples (see docs/performance.md, Contract 3)."""
         self.executed_cid = decision.cid
-        if self.storage is not StorageMode.MEMORY:
-            self.replica.store.append(
-                self.LOG, ("results", number, results),
-                sum(len(r[2]) + 48 for r in results))
+        self._log(("results", number, results),
+                  sum(len(r[2]) + 48 for r in results))
         return BlockBody(consensus_id=decision.cid, transactions=txs,
                          results=results, batch_hash=decision.batch_hash,
                          **reconfig)
@@ -303,12 +306,9 @@ class SmartChainDelivery(SequentialDelivery):
         if rt.observing:
             rt.notify("block-append", block=number, cid=decision.cid,
                       digest=block.digest().hex(), view=header.view_id)
-        if self.storage is not StorageMode.MEMORY:
-            replica.store.append(
-                self.LOG,
-                ("header", number, header.to_record(),
-                 self._proof_record(decision)),
-                BlockHeader.WIRE_SIZE + 72 * len(decision.proof))
+        self._log(("header", number, header.to_record(),
+                   self._proof_record(decision)),
+                  BlockHeader.WIRE_SIZE + 72 * len(decision.proof))
         return block
 
     def _apply_catchup(self, decision: Decision, txs: tuple, number: int,
@@ -319,8 +319,7 @@ class SmartChainDelivery(SequentialDelivery):
             number, self._build_body(number, decision, txs, rows), decision)
         replica.note_executed(decision)
         # Certificate from already-buffered PERSIST votes, if any; no wait.
-        if (self.variant is PersistenceVariant.STRONG
-                and self.storage is not StorageMode.MEMORY):
+        if self.can_self_verify():
             self._certify(number, block.digest(),
                           self._persist_votes.pop(number, {}))
         lag = replica.last_decided - decision.cid
@@ -361,8 +360,7 @@ class SmartChainDelivery(SequentialDelivery):
         if obs.trace_pipeline:
             obs.trace_cid(self.replica.id, decision.cid, "body_write",
                           self.replica.sim.now)
-        if (self.variant is PersistenceVariant.STRONG
-                and self.storage is not StorageMode.MEMORY):
+        if self.can_self_verify():
             completion = (lambda: self._finish_block(block, decision,
                                                      results_map, reconfig,
                                                      done))
@@ -525,12 +523,10 @@ class SmartChainDelivery(SequentialDelivery):
             rt.notify("persist-certificate", block=number,
                       digest=digest.hex(), view=view_id,
                       signers=sorted(matching))
-        if self.storage is not StorageMode.MEMORY:
-            # Line 34: the certificate write is asynchronous — after a full
-            # crash the group can always recreate the same certificate.
-            replica.store.append(
-                self.LOG, ("cert", number, certificate.to_record()),
-                certificate.size_bytes())
+        # Line 34: the certificate write is asynchronous — after a full
+        # crash the group can always recreate the same certificate.
+        self._log(("cert", number, certificate.to_record()),
+                  certificate.size_bytes())
         return True
 
     def repersist_missing(self, on_done: Callable[[], None] | None = None) -> None:
@@ -561,9 +557,7 @@ class SmartChainDelivery(SequentialDelivery):
                       reconfig: ReconfigOutcome | None, done) -> None:
         replica = self.replica
         obs = replica.sim.obs
-        if (obs.trace_pipeline
-                and self.variant is PersistenceVariant.STRONG
-                and self.storage is not StorageMode.MEMORY):
+        if obs.trace_pipeline and self.can_self_verify():
             obs.trace_cid(replica.id, decision.cid, "persist", replica.sim.now)
         replica.send_replies(results_map, decision.batch,
                              block_number=block.number)
@@ -618,7 +612,6 @@ class SmartChainDelivery(SequentialDelivery):
     # ------------------------------------------------------------------
     def _apply_special(self, decision: Decision, txs: tuple, number: int,
                        done) -> None:
-        replica = self.replica
         outcome = ReconfigOutcome(result=("error", "rejected"))
         all_announcements: list[KeyAnnouncement] = []
         for request in decision.batch:
@@ -653,17 +646,16 @@ class SmartChainDelivery(SequentialDelivery):
             number, decision, txs, tuple(result_records),
             key_announcements=[a.to_record() for a in announcements],
             new_view=new_view_record)
-        if self.storage is not StorageMode.MEMORY:
-            replica.store.append(
-                self.LOG,
-                ("special", number, tuple(a.to_record() for a in announcements),
-                 new_view_record),
-                96 * len(announcements) + 64)
+        self._log(("special", number,
+                   tuple(a.to_record() for a in announcements),
+                   new_view_record),
+                  96 * len(announcements) + 64)
         self._close_block(number, body, decision, results_map, done,
                           reconfig=outcome if outcome.new_view else None)
 
     # ------------------------------------------------------------------
-    # Block replay (shared by recovery, state transfer, reconciliation)
+    # Restore: a checkpoint plus the blocks after it (shared by state
+    # transfer, recovery and reconciliation)
     # ------------------------------------------------------------------
     def _record_keys(self, body: BlockBody) -> None:
         for record in body.key_announcements:
@@ -671,35 +663,65 @@ class SmartChainDelivery(SequentialDelivery):
             self.recorded_members.setdefault(ann.view_id, set()).add(
                 ann.replica_id)
 
-    def _replay_block(self, block: Block) -> None:
-        """Re-apply a block's effects to the service and chain metadata.
+    def _restore(self, info: CheckpointInfo) -> None:
+        """Rebuild the service state and chain metadata the one way Section
+        V-C does: checkpoint ``info``, then the held blocks after it."""
+        self.app.install_snapshot(info.snapshot)
+        self.executed_cid = info.consensus_id
+        self.last_checkpoint = info.block_number if info.block_number else -1
+        self.last_reconfig = info.last_reconfig
+        self.recorded_members = {vid: set(m) for vid, m in info.recorded}
+        if self.node is not None:
+            self.node.permanent_keys.update(dict(info.permanent_keys))
+        view = View(info.view_id, tuple(info.members))
+        if view.view_id > self.replica.cv.view_id:
+            self.replica.install_view(view)
+        self._checkpoints = [info]
+        self._replay(info.block_number + 1)
+
+    def _replay(self, start: int) -> None:
+        """Re-apply the effects of the held blocks from ``start`` on.
 
         Reconfiguration blocks are applied from their recorded outcome (no
         vote re-validation: the block's certificate/proof covers it).
         """
-        body = block.body
-        self._record_keys(body)
-        if body.new_view is not None:
-            view_id, members, permanent_updates = body.new_view
-            self.last_reconfig = block.number
-            if self.node is not None:
-                self.node.permanent_keys.update(dict(permanent_updates))
-            new_view = View(view_id, tuple(members))
-            if new_view.view_id > self.replica.cv.view_id:
-                self.replica.install_view(new_view)
-        else:
-            requests = [
-                ClientRequest(client_id=client_id, req_id=req_id, op=op,
-                              size=size, special=special)
-                for _tx, client_id, req_id, op, size, special
-                in body.transactions
-            ]
-            if requests and not requests[0].special:
-                self.app.execute_batch(requests)
         z = self.genesis.checkpoint_period
-        if z > 0 and block.number % z == 0:
-            self.last_checkpoint = block.number
-        self.executed_cid = body.consensus_id
+        for block in self.chain.blocks(start=start):
+            body = block.body
+            self._record_keys(body)
+            if body.new_view is not None:
+                view_id, members, permanent_updates = body.new_view
+                self.last_reconfig = block.number
+                if self.node is not None:
+                    self.node.permanent_keys.update(dict(permanent_updates))
+                new_view = View(view_id, tuple(members))
+                if new_view.view_id > self.replica.cv.view_id:
+                    self.replica.install_view(new_view)
+            else:
+                requests = [
+                    ClientRequest(client_id=client_id, req_id=req_id, op=op,
+                                  size=size, special=special)
+                    for _tx, client_id, req_id, op, size, special
+                    in body.transactions
+                ]
+                if requests and not requests[0].special:
+                    self.app.execute_batch(requests)
+            if z > 0 and block.number % z == 0:
+                self.last_checkpoint = block.number
+            self.executed_cid = body.consensus_id
+
+    def _restore_stable(self, replay: Replay) -> bool:
+        """Restore from the stable snapshot, read through the verified
+        ``replay``, when it covers a held block; else from genesis.  Never
+        from the service state in memory: that may be ahead of a truncated
+        log, and replaying onto it counts every block twice — which a delta
+        transfer, unlike a whole-state one, would never repair.  True when
+        the snapshot was used."""
+        checkpoint = replay.load_checkpoint(self.SNAPSHOT)
+        usable = (isinstance(checkpoint, CheckpointInfo)
+                  and checkpoint.block_number <= self.chain.height)
+        self._restore(checkpoint if usable else self._genesis)
+        return usable
 
     # ------------------------------------------------------------------
     # State transfer: the blocks up to the agreed consensus id, after the
@@ -707,7 +729,8 @@ class SmartChainDelivery(SequentialDelivery):
     # ------------------------------------------------------------------
     #: First element of a delta package's anchor ``(DELTA, number, digest)``
     #: — the block the shipped ones follow — where a checkpoint + suffix
-    #: package has its checkpoint record.
+    #: package has its checkpoint as a tuple in :class:`CheckpointInfo`
+    #: field order.
     DELTA = "delta"
 
     def transfer_base(self) -> tuple[int, bytes] | None:
@@ -724,8 +747,8 @@ class SmartChainDelivery(SequentialDelivery):
             anchor, after, nbytes = (self.DELTA, *base), base[0], 0
         else:
             info = self._checkpoint_for(target)
-            anchor, after, nbytes = (self._checkpoint_record(info),
-                                     info.block_number, info.nbytes)
+            anchor = tuple(getattr(info, f.name) for f in fields(info))
+            after, nbytes = info.block_number, info.nbytes
         blocks = [b for b in self.chain.blocks(start=after + 1)
                   if b.body.consensus_id <= target]
         package = (target, anchor, tuple(b.to_record() for b in blocks))
@@ -740,15 +763,7 @@ class SmartChainDelivery(SequentialDelivery):
                       and c.block_number >= self.chain.base_height]
         if candidates:
             return max(candidates, key=lambda c: c.block_number)
-        if self._checkpoints:
-            return self._checkpoints[0]
-        return self._make_checkpoint_info(0, -1)
-
-    @staticmethod
-    def _checkpoint_record(info: CheckpointInfo) -> tuple:
-        return (info.block_number, info.consensus_id, info.snapshot,
-                info.nbytes, info.view_id, info.members, info.permanent_keys,
-                info.recorded, info.last_reconfig, info.head_digest)
+        return self._checkpoints[0]
 
     def package_digest(self, package: Any) -> bytes:
         """Composed of commitments the chain already carries.  Per block:
@@ -786,14 +801,12 @@ class SmartChainDelivery(SequentialDelivery):
         _target, anchor, _block_records = package
         blocks = self._shipped_blocks(package)
         self._parsed = None
-        delta = anchor[0] == self.DELTA
-        if delta:
-            chain = self.chain
+        if anchor[0] == self.DELTA:
+            info, chain = None, self.chain
         else:
-            (number, cid, snapshot, nbytes, view_id, members, permanent,
-             recorded, last_reconfig, head_digest) = anchor
-            chain = Blockchain.from_suffix(self.genesis, number, head_digest,
-                                           [])
+            info = CheckpointInfo(*anchor)
+            chain = Blockchain.from_suffix(self.genesis, info.block_number,
+                                           info.head_digest, [])
         # A delta's first blocks may be ones this replica appended itself
         # since it asked; whatever is new must link onto the head.
         blocks = [b for b in blocks if b.number > chain.height]
@@ -804,33 +817,24 @@ class SmartChainDelivery(SequentialDelivery):
                 f"state package does not extend block {chain.height} of "
                 f"replica {self.replica.id}'s chain")
         self.superseded()
-        if not delta:
-            self.app.install_snapshot(snapshot)
-            self.executed_cid = cid
-            self.last_reconfig = last_reconfig
-            self.last_checkpoint = number if number > 0 else -1
-            self.recorded_members = {vid: set(m) for vid, m in recorded}
-            if self.node is not None:
-                self.node.permanent_keys.update(dict(permanent))
-            view = View(view_id, tuple(members))
-            if view.view_id > self.replica.cv.view_id:
-                self.replica.install_view(view)
-            self.chain = chain
-            self._checkpoints = [CheckpointInfo(
-                block_number=number, consensus_id=cid, snapshot=snapshot,
-                nbytes=nbytes, view_id=view_id, members=tuple(members),
-                permanent_keys=tuple(permanent), recorded=tuple(recorded),
-                last_reconfig=last_reconfig, head_digest=head_digest)]
+        start = chain.height + 1
         for block in blocks:
-            self.chain.append(block)
-            self._replay_block(block)
+            chain.append(block)
+        self.chain = chain
+        if info is None:
+            self._replay(start)
+        else:
+            self._restore(info)
 
-    def superseded(self) -> None:
-        super().superseded()
+    def _drop_persist_waits(self) -> None:
         self._persist_waits.clear()
         for timer in self._persist_timers.values():
             timer.cancel()
         self._persist_timers.clear()
+
+    def superseded(self) -> None:
+        super().superseded()
+        self._drop_persist_waits()
 
     def install_cost(self, package: Any) -> float:
         costs = self.replica.costs
@@ -861,14 +865,13 @@ class SmartChainDelivery(SequentialDelivery):
             if prev is not None and block.header.hash_last_block != prev.digest():
                 return False
             keys = self.replica.keydir.view_keys(block.header.view_id)
+            if not keys:
+                return False
             valid = sum(
                 1 for rid, sig in cert.signatures.items()
                 if keys.get(rid) and self.replica.registry.verify(
                     keys[rid], cert.header_digest, sig))
-            n = len(keys)
-            f = (n - 1) // 3 if n else 0
-            quorum = max(2 * f + 1, (n + f + 1) // 2)
-            if n == 0 or valid < quorum:
+            if valid < View(block.header.view_id, tuple(keys)).cert_quorum:
                 return False
             prev = block
         return True
@@ -906,7 +909,6 @@ class SmartChainDelivery(SequentialDelivery):
         replay.replay(self.LOG, adopt)
         txs, results, headers = parts["txs"], parts["results"], parts["header"]
         self.chain = Blockchain(self.genesis)
-        self.recorded_members = self._genesis_members()
         number = 1
         while number in headers and number in txs and number in results:
             header_record, proof = headers[number]
@@ -942,33 +944,13 @@ class SmartChainDelivery(SequentialDelivery):
             except VerificationError:
                 dropped = self.chain.height
                 self.chain = Blockchain(self.genesis)
-                self.recorded_members = self._genesis_members()
                 replay.fallback(-1, dropped, reason="chain-verify",
                                 log=self.LOG)
         # Service state: last stable snapshot plus replay of later blocks.
-        checkpoint = replay.load_checkpoint(self.SNAPSHOT)
-        replay_from = 1
-        if (isinstance(checkpoint, CheckpointInfo)
-                and checkpoint.block_number <= self.chain.height):
-            self.app.install_snapshot(checkpoint.snapshot)
-            self.last_checkpoint = checkpoint.block_number
-            self.last_reconfig = checkpoint.last_reconfig
-            self.executed_cid = checkpoint.consensus_id
-            self.recorded_members = {vid: set(m)
-                                     for vid, m in checkpoint.recorded}
-            self._checkpoints = [checkpoint]
-            replay_from = checkpoint.block_number + 1
-        else:
-            # Not the state the crashed process held: it is ahead of a
-            # truncated log, and replaying onto it counts every block twice
-            # — which a delta transfer, unlike a whole-state one, would
-            # never repair.
-            self.app.install_snapshot(self._initial_snapshot)
-        for block in self.chain.blocks(start=replay_from):
-            self._replay_block(block)
+        from_snapshot = self._restore_stable(replay)
         head = self.chain.head()
         recovered_cid = head.body.consensus_id if head is not None else -1
-        if not self._checkpoints:
+        if not from_snapshot:
             # Anchor a synthetic checkpoint at the recovered position, so
             # state-transfer packages served by this replica pair a snapshot
             # with only the blocks that come after it.
@@ -996,24 +978,9 @@ class SmartChainDelivery(SequentialDelivery):
             if rt.observing:
                 rt.notify("suffix-lost",
                           blocks=[b.number for b in dropped], height=keep)
-            self._rebuild_service_state()
+            self._restore_stable(Replay(self.replica, self.recovery))
         head = self.chain.head()
         return head.body.consensus_id if head is not None else -1
-
-    def _rebuild_service_state(self) -> None:
-        checkpoint = Replay(self.replica, self.recovery).load_checkpoint(
-            self.SNAPSHOT)
-        replay_from = 1
-        if (isinstance(checkpoint, CheckpointInfo)
-                and checkpoint.block_number <= self.chain.height):
-            self.app.install_snapshot(checkpoint.snapshot)
-            self.executed_cid = checkpoint.consensus_id
-            replay_from = checkpoint.block_number + 1
-        else:
-            self.app.install_snapshot(self._initial_snapshot)
-            self.executed_cid = -1
-        for block in self.chain.blocks(start=replay_from):
-            self._replay_block(block)
 
     def on_crash(self) -> None:
         super().on_crash()
@@ -1022,12 +989,9 @@ class SmartChainDelivery(SequentialDelivery):
         self.last_checkpoint = -1
         self.executed_cid = -1
         self._persist_votes.clear()
-        self._persist_waits.clear()
-        for timer in self._persist_timers.values():
-            timer.cancel()
-        self._persist_timers.clear()
+        self._drop_persist_waits()
         self.recorded_members = self._genesis_members()
-        self._checkpoints = []
+        self._checkpoints = [self._genesis]
 
     # ------------------------------------------------------------------
     # Helpers

@@ -77,10 +77,10 @@ class Application(abc.ABC):
         so results stay deterministic regardless of core count — the sets
         shape only the modeled makespan.
 
-        The base implementation is a sentinel: applications that do not
-        override it are executed strictly serially (the scheduler checks
-        for an override, so the declared-barrier and undeclared cases
-        behave differently in timing).
+        The base implementation declares every operation a barrier, so an
+        application without footprints is all barriers on a pool: each
+        operation is its own level, timed one after another, exactly as a
+        declared barrier is.
         """
         return None
 

@@ -284,10 +284,10 @@ def test_dura_resume_marker_ahead_of_the_prefix_detaches_without_damage():
         "from_cid": last_cid, "dropped": 0}
 
 
-def _reconciled_weak_chain(rot_snapshot: bool):
-    """A weak-variant replica whose full-crash reconciliation drops its
-    newest block (``suffix-lost``), optionally after its stable snapshot
-    rotted; returns the replica's delivery layer."""
+def _weak_chain():
+    """Node 1 of a weak-variant deployment that checkpoints every 4 blocks,
+    after 30 mints; returns the consortium and the node's delivery
+    layer."""
     consortium = make_consortium(seed=5, checkpoint_period=4,
                                  variant=PersistenceVariant.WEAK)
     consortium.sim.obs.record_events = True
@@ -295,7 +295,14 @@ def _reconciled_weak_chain(rot_snapshot: bool):
     Client(station, mint_ops_simple(30))
     station.start_all()
     consortium.sim.run(until=5.0)
-    delivery = consortium.node(1).delivery
+    return consortium, consortium.node(1).delivery
+
+
+def _reconciled_weak_chain(rot_snapshot: bool):
+    """A weak-variant replica whose full-crash reconciliation drops its
+    newest block (``suffix-lost``), optionally after its stable snapshot
+    rotted; returns the replica's delivery layer."""
+    consortium, delivery = _weak_chain()
     store = delivery.replica.store
     keep = delivery.chain.height - 1
     assert 0 < store.read_cell(delivery.SNAPSHOT).block_number <= keep
@@ -320,6 +327,19 @@ def test_reconciliation_rejects_a_rotted_snapshot():
     assert rotted.app.state_digest() == clean.app.state_digest()
 
 
+def test_reconciliation_below_a_checkpoint_forgets_it():
+    """Reconciling to the block before the last checkpoint restores the
+    chain metadata with the service state: no checkpoint above the new
+    head stays recorded or retained, so none can be served with it."""
+    _consortium, delivery = _weak_chain()
+    keep = delivery.last_checkpoint - 1
+    delivery.reconcile_local(delivery.chain.get(keep).body.consensus_id)
+    assert delivery.chain.height == keep
+    assert delivery.last_checkpoint <= keep
+    assert [c.block_number for c in delivery._checkpoints
+            if c.block_number > keep] == []
+
+
 # ----------------------------------------------------------------------
 # Identity: the shared replay changed no exported event
 # ----------------------------------------------------------------------
@@ -341,13 +361,13 @@ def _event_log_sha256(events, drop=()) -> str:
 
 
 @pytest.mark.parametrize(
-    "system,plan,duration,drop,pinned,engine,depth,cores", [
+    "system,plan,duration,drop,pinned,engine,depth,cores,checkpoint_period", [
     ("dura", "bitrot-recovery", 3.0, (),
      "29842a05b5339300b078f951e81849b9a762792129d7f2d12022349d984a7fcf",
-     "modsmart", 1, 1),
+     "modsmart", 1, 1, 10_000),
     ("dura", "torn-write-recovery", 3.0, (),
      "02dad8bbd819e0da2a302a96b17a8aff2e0e2801452d39d9117127f3c7a2f676",
-     "modsmart", 1, 1),
+     "modsmart", 1, 1, 10_000),
     # Modulo the one deliberate event-field change: ``recovery-fallback
     # .from_cid`` was always −1 under SMARTCHAIN (read after on_crash reset
     # it) and is now the last adopted cid, so it is left out of the hash
@@ -364,38 +384,54 @@ def _event_log_sha256(events, drop=()) -> str:
     # blocks, 600 more requests answered inside the 3.5 s.
     ("smartchain", LEADER_CRASH, 3.5, (("recovery-fallback", "from_cid"),),
      "2ba78470147bd5fe617a5a4177bbb2d565712ed06083bc095e0b359d5907d48a",
-     "modsmart", 1, 1),
+     "modsmart", 1, 1, 10_000),
     # The second engine, pinned at 1fa2b35 before the code both engines
     # spelled twice moved into ConsensusEngine.  Under FastBFT the bit-rot
     # truncates replica 0's log to nothing, in two fallback steps.
     ("smartchain", LEADER_CRASH, 3.5, (("recovery-fallback", "from_cid"),),
      "772da287212edc6382c819296541f1654e1fde3f34667774e96fc821ba91b23b",
-     "fastbft", 1, 1),
+     "fastbft", 1, 1, 10_000),
     # Four instances in flight, pinned at 331f8cc before the sequential
     # propose loop became the window loop's one-slot case.  The bit-rot
     # row runs the batch timer against a full window; the leader-crash
     # row adds regency changes, SYNC adoption and pipeline stalls.
     ("dura", "bitrot-recovery", 3.0, (),
      "eeb9d1fb0f68873cd5dfa8491ef53e85984be22a71e0900f4621d652d7a60258",
-     "modsmart", 4, 1),
+     "modsmart", 4, 1, 10_000),
     ("smartchain", LEADER_CRASH, 3.5, (("recovery-fallback", "from_cid"),),
      "b9eb8797a4a60809c29d2b03ccc909f6c9af104ca9babb5cafd6ef3958c2e879",
-     "modsmart", 4, 1),
+     "modsmart", 4, 1, 10_000),
     # Two execution cores, pinned at 22b9ae8 before serial execution
     # became the one-core case of the scheduler: the only pin on the
     # exec-pool path.
     ("dura", "bitrot-recovery", 3.0, (),
      "1f6bc3d79bf1a4a7fa072281f92a018270bdaad2567ee8499aab4fc1547741b7",
-     "modsmart", 4, 2),
+     "modsmart", 4, 2, 10_000),
+    # A checkpoint every 20 blocks, pinned at da66902 before state
+    # transfer, local recovery and full-crash reconciliation shared one
+    # restore.  Under Mod-SMaRt the bit-rot truncates replica 0's log to
+    # height 55, below its stable checkpoint, so it restores from genesis,
+    # anchors a checkpoint at its head and catches up by delta transfers;
+    # under FastBFT the log is truncated to nothing and it installs a
+    # checkpoint@100 + suffix package.  (The restore from a disk
+    # checkpoint is pinned by the test after this one.)
+    ("smartchain", LEADER_CRASH, 3.5, (),
+     "9dcb0ea61581531526dc9fee2c352063f076a71605afefd0ba32d96ec555ed12",
+     "modsmart", 1, 1, 20),
+    ("smartchain", LEADER_CRASH, 3.5, (),
+     "bec0c4fc9c175b8ecf08a4f4236346a3e75ba78274ae824a90820e93eb9428ac",
+     "fastbft", 1, 1, 20),
 ])
 def test_event_log_identical_to_pre_refactor_commit(system, plan, duration,
                                                     drop, pinned, engine,
-                                                    depth, cores):
+                                                    depth, cores,
+                                                    checkpoint_period):
     """The Dura-SMaRt rows are pinned at commit 163d5f2 (three hand-written
     recover_local copies), before recovery moved onto the shared replay."""
     result = run(Scenario(system=system, clients=300, duration=duration,
                           seed=1, audit=True, faults=plan, engine=engine,
-                          pipeline_depth=depth, exec_cores=cores))
+                          pipeline_depth=depth, exec_cores=cores,
+                          checkpoint_period=checkpoint_period))
     events = result.handle.obs.events
     assert events.dropped == 0
     if not drop:
@@ -413,3 +449,28 @@ def test_event_log_identical_to_pre_refactor_commit(system, plan, duration,
         assert steps[0] >= 0
         assert steps == sorted(steps, reverse=True)
         assert steps[-1] == recovering[node]
+
+
+def test_restore_from_a_disk_checkpoint_identical_to_pre_refactor_commit():
+    """A leader crash with no storage fault, checkpointing every 20 blocks:
+    replica 0 recovers its whole log (height 98), restores the service
+    from its stable checkpoint at block 80 — the newest it took before the
+    crash — and catches up by delta transfers.  Pinned at da66902, before
+    the checkpoint restores of state transfer, local recovery and
+    full-crash reconciliation became one."""
+    plan = json.dumps({"name": "leader-crash-clean", "seed": 0,
+                       "crashes": [{"node": 0, "at": 1.5,
+                                    "recover_at": 2.5}],
+                       "protocol": {"request_timeout": 0.25}})
+    result = run(Scenario(system="smartchain", clients=300, duration=3.5,
+                          seed=1, audit=True, faults=plan,
+                          checkpoint_period=20))
+    events = result.handle.obs.events
+    assert events.dropped == 0
+    assert _event_log_sha256(events) == (
+        "38dbbefc70eb10b18d469ceaeeb809b291bd32c10b389590fbed5d2bc5cf5971")
+    [recovering] = events.of_kind("recovering")
+    assert (recovering.node, recovering.fields["height"]) == (0, 98)
+    checkpoints = [e.fields["block"] for e in events.of_kind("checkpoint")
+                   if e.node == 0 and e.time < 1.5]
+    assert checkpoints[-1] == 80
