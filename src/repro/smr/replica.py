@@ -29,7 +29,7 @@ Division of labour
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Any, Callable
 
 from repro.config import CostModel, SMRConfig, VerificationMode
@@ -150,7 +150,9 @@ class ModSmartReplica:
         self.admitted: dict[RequestKey, bool] = {}
         self.inflight: set[RequestKey] = set()
         self.decision_buffer: dict[int, Decision] = {}
-        self._verify_waiters: list[tuple[set[RequestKey], Callable[[], None]]] = []
+        #: Decided but not yet handed to the delivery layer, in cid order;
+        #: only the head leaves (:meth:`_hand_off`).
+        self._handoff: deque[Decision] = deque()
 
         # Lifecycle.
         self.crashed = False
@@ -327,35 +329,11 @@ class ModSmartReplica:
 
     def _mark_verified(self, keys: list[RequestKey]) -> None:
         self.admitted.update(dict.fromkeys(keys, True))
-        if self._verify_waiters:
-            still_waiting = []
-            for wanted, fn in self._verify_waiters:
-                wanted.difference_update(keys)
-                if wanted:
-                    still_waiting.append((wanted, fn))
-                else:
-                    fn()
-            self._verify_waiters = still_waiting
+        self._hand_off()
         self._after_verification()
 
     def _after_verification(self) -> None:
         self._rearm_proposer(arm_timer=True)
-
-    def require_verified(self, batch: list[ClientRequest],
-                         fn: Callable[[], None]) -> None:
-        """Invoke ``fn`` once every signed request in ``batch`` is verified
-        locally (immediately if they already are, or if verification is not
-        the pool's job)."""
-        if self.config.verification is not VerificationMode.PARALLEL:
-            fn()
-            return
-        admitted = self.admitted
-        missing = {r.key for r in batch
-                   if r.signed and not admitted.get(r.key)}
-        if not missing:
-            fn()
-        else:
-            self._verify_waiters.append((missing, fn))
 
     def ready_requests(self) -> list[ClientRequest]:
         """Verified pending requests not already being ordered.
@@ -581,14 +559,29 @@ class ModSmartReplica:
                       batch_hash=decision.batch_hash.hex(),
                       regency=decision.regency)
         self.synchronizer.on_progress()
-        if (decision.batch and decision.batch[0].special == "vmview"
-                and self.config.view_manager_public is not None):
-            self._apply_view_manager_request(decision)
-            self._rearm_proposer()
-            return
-        # Execution may need local verification to have finished (PARALLEL).
-        self.require_verified(decision.batch,
-                              lambda: self.delivery.on_decide(decision))
+        self._handoff.append(decision)
+        self._hand_off()
+
+    def _hand_off(self) -> None:
+        """Pass decided batches to the delivery layer strictly in cid
+        order: the head leaves once its signed requests are verified
+        locally (PARALLEL verification; other modes never wait), and
+        nothing overtakes it."""
+        queue = self._handoff
+        pooled = self.config.verification is VerificationMode.PARALLEL
+        admitted = self.admitted
+        while queue:
+            head = queue[0]
+            if pooled and any(r.signed and not admitted.get(r.key)
+                              for r in head.batch):
+                return
+            queue.popleft()
+            if (head.batch and head.batch[0].special == "vmview"
+                    and self.config.view_manager_public is not None):
+                self._apply_view_manager_request(head)
+                self._rearm_proposer()
+            else:
+                self.delivery.on_decide(head)
 
     def note_executed(self, decision: Decision) -> None:
         """Called by the delivery layer once a decision's batch executed."""
@@ -717,7 +710,7 @@ class ModSmartReplica:
         self.admitted.clear()
         self.inflight.clear()
         self.decision_buffer.clear()
-        self._verify_waiters.clear()
+        self._handoff.clear()
         self.last_decided = -1
         self.last_executed = -1
         self.store.crash()
@@ -725,6 +718,18 @@ class ModSmartReplica:
         rt = self.runtime
         if rt.observing:
             rt.notify("crash", incarnation=self._incarnation)
+
+    def stand_at(self, cid: int) -> None:
+        """This replica's state now reflects every decision through ``cid``
+        (a state install, or what recovery reloaded): forget the decisions
+        and instances that covers and restart the propose window."""
+        self.last_decided = cid
+        self.last_executed = cid
+        self.decision_buffer = {
+            c: d for c, d in self.decision_buffer.items() if c > cid}
+        self._handoff.clear()
+        self.engine.discard_through(cid)
+        self.reset_proposer()
 
     def recover(self, on_ready: Callable[[], None] | None = None) -> None:
         """Restart after a crash: reload local stable state, then run state
@@ -736,8 +741,7 @@ class ModSmartReplica:
         self.active = False
         self.endpoint = self.net.register(self.id, self.runtime.deliver)
         recovered = self.delivery.recover_local()
-        self.last_decided = recovered
-        self.last_executed = recovered
+        self.stand_at(recovered)
         rt = self.runtime
         if rt.observing:
             fields = dict(local_cid=recovered, height=self.delivery.height)

@@ -221,9 +221,11 @@ class StateTransferEngine:
         if self._expect_self_verified:
             target = sv_target
         if target <= replica.last_decided:
+            # Nothing to fetch, but a layer that cannot self-verify drops
+            # what the group does not support.
             resume = replica.delivery.reconcile_local(target)
-            replica.last_decided = resume
-            replica.last_executed = resume
+            if resume < replica.last_decided:
+                replica.stand_at(resume)
             self._finish(replica.last_decided)
             return
         if self._expect_self_verified:
@@ -317,14 +319,7 @@ class StateTransferEngine:
         except LedgerError:
             self._reject(cid)  # does not extend this replica's chain
             return
-        replica.last_decided = cid
-        replica.last_executed = cid
-        replica.decision_buffer = {
-            c: d for c, d in replica.decision_buffer.items() if c > cid}
-        replica.engine.discard_through(cid)
-        # Any propose window this replica had in flight predates the
-        # installed state: forget it so the windowed loop restarts cleanly.
-        replica.reset_proposer()
+        replica.stand_at(cid)
         if replica.delivery.can_self_verify():
             # Blocks that missed their certificate while this replica was
             # behind may be waiting on exactly its PERSIST vote (same as

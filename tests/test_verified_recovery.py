@@ -362,11 +362,18 @@ def _event_log_sha256(events, drop=()) -> str:
 
 @pytest.mark.parametrize(
     "system,plan,duration,drop,pinned,engine,depth,cores,checkpoint_period", [
+    # The two Dura-SMaRt rows were re-pinned once, when decisions began to
+    # reach the delivery layer in cid order (they were 29842a05…a7fcf and
+    # 02dad8bb…2f676).  Same events, same counts; the recovered replica
+    # (node 2 under bit-rot, node 1 under torn writes) now executes cids
+    # 126…133 in order after its first recovery — it used to execute
+    # 127…132, then 126 (t=1.5552), then 133 — and 208…219 after its
+    # second, where it used to execute 208 after 218 (t=2.6381).
     ("dura", "bitrot-recovery", 3.0, (),
-     "29842a05b5339300b078f951e81849b9a762792129d7f2d12022349d984a7fcf",
+     "e294ded50114ad8160e5b6d6e5d2d2656eaa233cd81e050fe02e69349bb35ad5",
      "modsmart", 1, 1, 10_000),
     ("dura", "torn-write-recovery", 3.0, (),
-     "02dad8bbd819e0da2a302a96b17a8aff2e0e2801452d39d9117127f3c7a2f676",
+     "e5ed0b5d607532291ecbc9dc1763436ccac8e0b09ca5be6b075e764fd69c373f",
      "modsmart", 1, 1, 10_000),
     # Modulo the one deliberate event-field change: ``recovery-fallback
     # .from_cid`` was always −1 under SMARTCHAIN (read after on_crash reset
@@ -394,9 +401,12 @@ def _event_log_sha256(events, drop=()) -> str:
     # Four instances in flight, pinned at 331f8cc before the sequential
     # propose loop became the window loop's one-slot case.  The bit-rot
     # row runs the batch timer against a full window; the leader-crash
-    # row adds regency changes, SYNC adoption and pipeline stalls.
+    # row adds regency changes, SYNC adoption and pipeline stalls.  The
+    # bit-rot row was re-pinned once, with cid-ordered delivery (it was
+    # eeb9d1fb…60258): node 2 executes cid 218 before 219…228 after its
+    # second recovery, not after 228 (t=2.6410); nothing else moves.
     ("dura", "bitrot-recovery", 3.0, (),
-     "eeb9d1fb0f68873cd5dfa8491ef53e85984be22a71e0900f4621d652d7a60258",
+     "d6e24c26b334d0640111feafffdf20f8493d666c20a208e4b737af741e845ea9",
      "modsmart", 4, 1, 10_000),
     ("smartchain", LEADER_CRASH, 3.5, (("recovery-fallback", "from_cid"),),
      "b9eb8797a4a60809c29d2b03ccc909f6c9af104ca9babb5cafd6ef3958c2e879",
