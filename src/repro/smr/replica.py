@@ -56,6 +56,10 @@ from repro.storage.stable import StableStore
 __all__ = ["ModSmartReplica"]
 
 
+def _never(*args: Any) -> None:
+    """What :meth:`ModSmartReplica.guard` hands out while crashed."""
+
+
 class ModSmartReplica:
     """One replica of the Mod-SMaRt SMR protocol.
 
@@ -225,7 +229,10 @@ class ModSmartReplica:
     def guard(self, fn: Callable[..., Any]) -> Callable[..., Any]:
         """Wrap a callback so it is dropped if the replica crashed or was
         re-incarnated after scheduling — simulated threads die with the
-        process."""
+        process.  Work a crashed replica schedules (a late disk sync's
+        callback) belongs to no incarnation and never runs."""
+        if self.crashed:
+            return _never
         incarnation = self._incarnation
 
         def wrapper(*args: Any) -> None:

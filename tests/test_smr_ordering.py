@@ -135,3 +135,20 @@ class TestTrace:
         assert proposed
         decided = {e.node for e in events.of_kind("decide")}
         assert decided == set(view.members)  # every replica decided
+
+
+class TestIncarnationGuard:
+    def test_work_scheduled_while_crashed_never_runs(self):
+        """A callback a crashed replica wraps (a late disk sync arming a
+        timer) belongs to no incarnation: it must not run after recovery."""
+        sim, _network, _view, replicas, _apps = make_cluster(seed=5)
+        replica = replicas[1]
+        ran = []
+        before = replica.guard(lambda: ran.append("before"))
+        replica.crash()
+        during = replica.guard(lambda: ran.append("during"))
+        replica.recover()
+        after = replica.guard(lambda: ran.append("after"))
+        for callback in (before, during, after):
+            callback()
+        assert ran == ["after"]

@@ -395,8 +395,14 @@ def _event_log_sha256(events, drop=()) -> str:
     # The second engine, pinned at 1fa2b35 before the code both engines
     # spelled twice moved into ConsensusEngine.  Under FastBFT the bit-rot
     # truncates replica 0's log to nothing, in two fallback steps.
+    # Re-pinned once (it was 772da287…b23b) when a crashed replica's late
+    # callbacks stopped arming timers in its next incarnation: the first
+    # 33 598 events hold; replica 0 no longer emits ``persist-timeout
+    # block=101`` and ``execute cid=100`` at t=2.5027, in the middle of its
+    # state transfer, from a PERSIST timer its dead incarnation's disk sync
+    # armed.
     ("smartchain", LEADER_CRASH, 3.5, (("recovery-fallback", "from_cid"),),
-     "772da287212edc6382c819296541f1654e1fde3f34667774e96fc821ba91b23b",
+     "32ed879b2b9969c0d84b94990161de68fabb8aabdda4c97d8df6bff37af81662",
      "fastbft", 1, 1, 10_000),
     # Four instances in flight, pinned at 331f8cc before the sequential
     # propose loop became the window loop's one-slot case.  The bit-rot
@@ -408,8 +414,12 @@ def _event_log_sha256(events, drop=()) -> str:
     ("dura", "bitrot-recovery", 3.0, (),
      "d6e24c26b334d0640111feafffdf20f8493d666c20a208e4b737af741e845ea9",
      "modsmart", 4, 1, 10_000),
+    # The leader-crash row was re-pinned once (it was b9eb8797…e879), for
+    # the same late PERSIST timer as the FastBFT row above: the first
+    # 33 979 events hold; replica 0 no longer emits ``persist-timeout
+    # block=101`` and ``execute cid=100`` at t=2.5028.
     ("smartchain", LEADER_CRASH, 3.5, (("recovery-fallback", "from_cid"),),
-     "b9eb8797a4a60809c29d2b03ccc909f6c9af104ca9babb5cafd6ef3958c2e879",
+     "3422232566e65e692031d8c4dba820e84983538dc6a2a03d3be1af69325d9537",
      "modsmart", 4, 1, 10_000),
     # Two execution cores, pinned at 22b9ae8 before serial execution
     # became the one-core case of the scheduler: the only pin on the
@@ -428,8 +438,12 @@ def _event_log_sha256(events, drop=()) -> str:
     ("smartchain", LEADER_CRASH, 3.5, (),
      "9dcb0ea61581531526dc9fee2c352063f076a71605afefd0ba32d96ec555ed12",
      "modsmart", 1, 1, 20),
+    # The FastBFT row was re-pinned once (it was bec0c4fc…428ac), for the
+    # same late PERSIST timer: the first 33 163 events hold; replica 0 no
+    # longer emits ``persist-timeout block=99`` and ``execute cid=98`` at
+    # t=2.5009.
     ("smartchain", LEADER_CRASH, 3.5, (),
-     "bec0c4fc9c175b8ecf08a4f4236346a3e75ba78274ae824a90820e93eb9428ac",
+     "aef266315ea3c88653de6a33aaebe28406d5f61e3acb85a2b5918887c7cf6006",
      "fastbft", 1, 1, 20),
 ])
 def test_event_log_identical_to_pre_refactor_commit(system, plan, duration,
@@ -448,6 +462,17 @@ def test_event_log_identical_to_pre_refactor_commit(system, plan, duration,
         assert _event_log_sha256(events) == hashlib.sha256(
             events.to_jsonl().encode("utf-8")).hexdigest()
     assert _event_log_sha256(events, drop) == pinned
+    # Between reloading its log and finishing its state transfer, a
+    # recovering replica executes nothing and arms no PERSIST timer — work
+    # left over from its crashed incarnation included.
+    catching_up = set()
+    for event in events:
+        if event.kind == "recovering":
+            catching_up.add(event.node)
+        elif event.kind == "state-transfer" and event.fields["phase"] == "done":
+            catching_up.discard(event.node)
+        elif event.kind in ("execute", "persist-timeout"):
+            assert event.node not in catching_up, event
     recovering = {e.node: e.fields["local_cid"]
                   for e in events.of_kind("recovering")}
     fallbacks = events.of_kind("recovery-fallback")
