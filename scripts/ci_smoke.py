@@ -89,7 +89,9 @@ JOBS: dict[str, tuple[Row, ...]] = {
     # recovered replica on the canonical chain.  Re-running the bit-rot
     # storm with verify_recovery=false must diverge (exit 2).  The fault
     # sweep is gated against the committed baseline.  Those rows are
-    # Dura-SMaRt; the SMARTCHAIN row is the benchmark's leader-crash plan
+    # Dura-SMaRt.  The SMARTCHAIN rows are the two plans that forked a
+    # recovered replica of either variant — its state install raced the
+    # decisions ordered meanwhile — and the benchmark's leader-crash plan
     # (bit-rot, crash of the leader, recovery by delta state transfers)
     # under the safety, recovery and liveness auditors.
     "recovery": (
@@ -97,6 +99,11 @@ JOBS: dict[str, tuple[Row, ...]] = {
           for plan in ("bitrot-recovery", "torn-write-recovery")),
         Row(("recovery", "--faults", "bitrot-unverified", "--audit"),
             expect=2),
+        Row(_smartchain("--faults", "bitrot-recovery", "--audit",
+                        clients=300, duration=3.0)),
+        Row(_smartchain("--variant", "weak", "--faults",
+                        "torn-write-recovery", "--audit",
+                        clients=300, duration=3.0)),
         Row(_smartchain("--faults", "benchmarks/e2e/plans/leader-crash.json",
                         "--audit", "--audit-liveness",
                         clients=600, duration=4.0)),

@@ -43,6 +43,16 @@ Safety invariants
     A cross-shard transfer certificate is redeemed at most once per
     replica incarnation, at one value, and never presented again after
     redemption (``cert-redeemed`` / ``cert-rejected`` events).
+``delivery-order``
+    Algorithm 1 is a sequential handler.  Within one incarnation a replica
+    appends each block for the lowest cid it has not executed since it
+    last stood somewhere — its ``recovering.local_cid``, or the cid of its
+    last ``state-transfer`` ``done`` — and never executes a decision twice
+    or one at or below where it stood (``block-append`` / ``execute``
+    events).  A decision handed to the delivery layer out of order breaks
+    it: the cause of which ``no-fork`` sees the symptom.  Executions alone
+    may complete out of cid order, since batches overlap on an execution
+    pool.
 
 ``SafetyAuditor(strict=True)`` raises :class:`AuditError` at the violating
 event; the default collects violations so the harness can fail the run at
@@ -61,7 +71,7 @@ __all__ = ["INVARIANTS", "Violation", "AuditError", "Auditor",
 
 #: Names of the invariants the safety auditor enforces.
 INVARIANTS = ("agreement", "no-fork", "view-monotonicity", "persistence",
-              "retired-key", "no-double-mint")
+              "retired-key", "no-double-mint", "delivery-order")
 
 
 @dataclass
@@ -252,6 +262,11 @@ class _SafetyGroup:
     minted: dict[str, int] = field(default_factory=dict)
     #: transfers already flagged (one violation per transfer)
     flagged: set[str] = field(default_factory=set)
+    #: delivery-order: node -> highest cid through which it has executed
+    #: or installed everything (None: not known until it says where it
+    #: stands), and the cids it executed above that
+    done_through: dict[int, int | None] = field(default_factory=dict)
+    done_above: dict[int, set[int]] = field(default_factory=dict)
 
 
 class SafetyAuditor(Auditor):
@@ -305,6 +320,7 @@ class SafetyAuditor(Auditor):
     # ------------------------------------------------------------------
     def _on_block_append(self, event: ProtocolEvent,
                          group: _SafetyGroup) -> None:
+        self._check_append_order(event, group)
         number = event.fields.get("block")
         digest = event.fields.get("digest")
         if number is None or digest is None:
@@ -414,6 +430,7 @@ class SafetyAuditor(Auditor):
         # redeems every logged transfer again: no-double-mint holds per
         # incarnation.
         group.redeemed.pop(event.node, None)
+        self._stand_at(event, group, None)
         group.crashed.add(event.node)
         if group.known and group.crashed >= group.known:
             # Full crash: every replica the stream knows about is down.
@@ -425,6 +442,7 @@ class SafetyAuditor(Auditor):
 
     def _on_recovering(self, event: ProtocolEvent,
                        group: _SafetyGroup) -> None:
+        self._stand_at(event, group, event.fields.get("local_cid"))
         group.crashed.discard(event.node)
         if group.epoch_nodes is None or event.node not in group.epoch_nodes:
             return
@@ -500,6 +518,53 @@ class SafetyAuditor(Auditor):
         if xfer not in group.flagged:
             group.flagged.add(xfer)
             self._flag("no-double-mint", message, event, **context)
+
+    # ------------------------------------------------------------------
+    # delivery-order
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _stand_at(event: ProtocolEvent, group: _SafetyGroup,
+                  cid: int | None) -> None:
+        """The node's state now reflects cid ``cid`` (None: not known)."""
+        group.done_through[event.node] = cid
+        group.done_above.pop(event.node, None)
+
+    def _on_state_transfer(self, event: ProtocolEvent,
+                           group: _SafetyGroup) -> None:
+        if event.fields.get("phase") == "done":
+            self._stand_at(event, group, event.fields.get("cid"))
+
+    def _on_execute(self, event: ProtocolEvent, group: _SafetyGroup) -> None:
+        cid = event.fields.get("cid")
+        through = group.done_through.get(event.node, -1)
+        if cid is None or through is None:
+            return
+        above = group.done_above.setdefault(event.node, set())
+        if cid <= through or cid in above:
+            self._flag(
+                "delivery-order",
+                f"node {event.node} executed cid {cid} again: it already "
+                f"stood at or executed it",
+                event, cid=cid, done_through=through)
+            return
+        above.add(cid)
+        while through + 1 in above:
+            through += 1
+            above.remove(through)
+        group.done_through[event.node] = through
+
+    def _check_append_order(self, event: ProtocolEvent,
+                            group: _SafetyGroup) -> None:
+        """A block is appended for the lowest decision not executed yet."""
+        cid = event.fields.get("cid")
+        through = group.done_through.get(event.node, -1)
+        if cid is not None and through is not None and cid != through + 1:
+            self._flag(
+                "delivery-order",
+                f"node {event.node} appended a block for cid {cid} where "
+                f"cid {through + 1} comes next",
+                event, cid=cid, expected=through + 1,
+                block=event.fields.get("block"))
 
     # ------------------------------------------------------------------
     # Offline sweep: feed a chain through the same invariant path

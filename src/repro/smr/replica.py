@@ -56,10 +56,6 @@ from repro.storage.stable import StableStore
 __all__ = ["ModSmartReplica"]
 
 
-def _never(*args: Any) -> None:
-    """What :meth:`ModSmartReplica.guard` hands out while crashed."""
-
-
 class ModSmartReplica:
     """One replica of the Mod-SMaRt SMR protocol.
 
@@ -229,11 +225,8 @@ class ModSmartReplica:
     def guard(self, fn: Callable[..., Any]) -> Callable[..., Any]:
         """Wrap a callback so it is dropped if the replica crashed or was
         re-incarnated after scheduling — simulated threads die with the
-        process.  Work a crashed replica schedules (a late disk sync's
-        callback) belongs to no incarnation and never runs."""
-        if self.crashed:
-            return _never
-        incarnation = self._incarnation
+        process, and what a crashed one schedules never runs."""
+        incarnation = None if self.crashed else self._incarnation
 
         def wrapper(*args: Any) -> None:
             if not self.crashed and self._incarnation == incarnation:
@@ -570,19 +563,16 @@ class ModSmartReplica:
         self._hand_off()
 
     def _hand_off(self) -> None:
-        """Pass decided batches to the delivery layer strictly in cid
-        order: the head leaves once its signed requests are verified
-        locally (PARALLEL verification; other modes never wait), and
-        nothing overtakes it."""
+        """Pass decisions to the delivery layer in cid order: the head
+        leaves once its signed requests are verified (PARALLEL only)."""
         queue = self._handoff
         pooled = self.config.verification is VerificationMode.PARALLEL
         admitted = self.admitted
         while queue:
-            head = queue[0]
             if pooled and any(r.signed and not admitted.get(r.key)
-                              for r in head.batch):
+                              for r in queue[0].batch):
                 return
-            queue.popleft()
+            head = queue.popleft()
             if (head.batch and head.batch[0].special == "vmview"
                     and self.config.view_manager_public is not None):
                 self._apply_view_manager_request(head)
@@ -727,9 +717,8 @@ class ModSmartReplica:
             rt.notify("crash", incarnation=self._incarnation)
 
     def stand_at(self, cid: int) -> None:
-        """This replica's state now reflects every decision through ``cid``
-        (a state install, or what recovery reloaded): forget the decisions
-        and instances that covers and restart the propose window."""
+        """Stand at ``cid`` (state installed or reloaded through it): drop
+        the decisions and instances that covers, restart the window."""
         self.last_decided = cid
         self.last_executed = cid
         self.decision_buffer = {

@@ -277,6 +277,74 @@ class TestScope:
         assert auditor.view_at_height(5, group=1) == 1
 
 
+def _execute(node, cid):
+    return ("execute", node, {"cid": cid})
+
+
+def _append(node, cid):
+    return ("block-append", node, {"block": cid + 1, "cid": cid,
+                                   "digest": f"d{cid}"})
+
+
+def _order_violations(*specs):
+    auditor = SafetyAuditor().replay(_events(*specs))
+    return [v.context for v in auditor.violations
+            if v.invariant == "delivery-order"]
+
+
+class TestDeliveryOrder:
+    def test_in_order_stream_through_crash_and_install_is_clean(self):
+        assert _order_violations(
+            _append(0, 0), _execute(0, 0), _append(0, 1), _execute(0, 1),
+            ("crash", 0, {}), _execute(0, 7),   # leftover of the old process
+            ("recovering", 0, {"local_cid": 0, "height": 1}),
+            _append(0, 1), _execute(0, 1),
+            ("state-transfer", 0, {"phase": "start", "from_cid": 1}),
+            ("state-transfer", 0, {"phase": "done", "cid": 9}),
+            _append(0, 10), _execute(0, 10),
+            # The weak variant's reconciliation drops an unsupported block.
+            ("suffix-lost", 0, {"blocks": [11], "height": 10}),
+            ("state-transfer", 0, {"phase": "done", "cid": 9}),
+            _append(0, 10), _execute(0, 10),
+            # Batches overlapping on an execution pool complete out of
+            # order; each still executes once.
+            _execute(1, 0), _execute(1, 2), _execute(1, 1),
+            _execute(1, 3)) == []
+
+    def test_a_gap_in_the_chain_is_flagged_where_it_opens(self):
+        assert _order_violations(
+            _append(1, 0), _execute(1, 0),
+            _append(1, 2)) == [{"cid": 2, "expected": 1, "block": 3}]
+
+    def test_a_decision_executed_again_is_flagged(self):
+        assert _order_violations(
+            ("recovering", 2, {"local_cid": 125, "height": 126}),
+            ("state-transfer", 2, {"phase": "done", "cid": 132}),
+            _execute(2, 126), _execute(2, 133), _execute(2, 135),
+            _execute(2, 135)) == [{"cid": 126, "done_through": 132},
+                                  {"cid": 135, "done_through": 133}]
+
+    def test_a_block_for_the_wrong_decision_is_flagged_before_the_fork(self):
+        # The strong-variant fork's shape: the transfer stands the replica
+        # at cid 150, and its next block is built for cid 152.
+        auditor = SafetyAuditor().replay(_events(
+            ("state-transfer", 1, {"phase": "done", "cid": 149}),
+            _append(1, 150), _execute(1, 150), _append(1, 151),
+            ("state-transfer", 2, {"phase": "done", "cid": 150}),
+            ("block-append", 2, {"block": 152, "cid": 152,
+                                 "digest": "other"})))
+        assert [(v.invariant, v.context.get("cid")) for v in
+                auditor.violations] == [("delivery-order", 152),
+                                        ("no-fork", None)]
+        assert auditor.violations[0].context["expected"] == 151
+
+    def test_a_repeated_block_is_flagged(self):
+        assert _order_violations(
+            ("state-transfer", 3, {"phase": "done", "cid": 3}),
+            _append(3, 4), _execute(3, 4), _append(3, 4)) == [
+                {"cid": 4, "expected": 5, "block": 5}]
+
+
 def _redeem(node, xfer="x1", value=5):
     return ("cert-redeemed", node, {"xfer": xfer, "value": value})
 

@@ -48,6 +48,12 @@ def _old_ci() -> list[tuple[str, str, int]]:
                          f" --faults {plan} --audit", 0))
         runs.append(("recovery", f"recovery --engine {engine}"
                      " --faults bitrot-unverified --audit", 2))
+        runs.append(("recovery", f"smartchain --engine {engine}"
+                     " --clients 300 --duration 3.0"
+                     " --faults bitrot-recovery --audit", 0))
+        runs.append(("recovery", f"smartchain --engine {engine}"
+                     " --clients 300 --duration 3.0 --variant weak"
+                     " --faults torn-write-recovery --audit", 0))
         runs.append(("recovery", f"smartchain --engine {engine} --clients 600"
                      " --duration 4.0"
                      " --faults benchmarks/e2e/plans/leader-crash.json"

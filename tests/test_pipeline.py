@@ -259,22 +259,23 @@ def test_pipelined_ordering_converges():
     assert all(len(app.data) == 40 for app in apps)
 
 
+def _decision(cid: int, signed: bool = False) -> Decision:
+    batch = [ClientRequest(client_id=50 + cid, req_id=i,
+                           op=("put", f"k{cid}-{i}", i), signed=signed)
+             for i in range(3)]
+    return Decision(cid=cid, batch=batch, proof={},
+                    batch_hash=bytes([65 + cid]) * 8, regency=0,
+                    decided_at=0.0)
+
+
 def test_decision_buffer_heals_gaps_across_the_window():
     """Out-of-order decisions spanning several in-flight instances buffer
-    until the gap closes, then deliver in cid order exactly once."""
+    until the gap closes, then deliver in cid order exactly once; a state
+    install drops the decisions it covers, queued or buffered."""
     sim, _, _, replicas, _ = make_cluster(
         config=SMRConfig(n=4, f=1, pipeline_depth=4))
     follower = replicas[2]
-
-    def decision(cid: int) -> Decision:
-        batch = [ClientRequest(client_id=50 + cid, req_id=i,
-                               op=("put", f"k{cid}-{i}", i), signed=False)
-                 for i in range(3)]
-        return Decision(cid=cid, batch=batch, proof={},
-                        batch_hash=bytes([65 + cid]) * 8, regency=0,
-                        decided_at=0.0)
-
-    decisions = [decision(cid) for cid in range(3)]
+    decisions = [_decision(cid) for cid in range(3)]
     follower.handle_decision(decisions[2])
     follower.handle_decision(decisions[1])
     assert follower.last_decided == -1
@@ -288,6 +289,40 @@ def test_decision_buffer_heals_gaps_across_the_window():
     follower.handle_decision(decisions[1])
     sim.run(until=1.0)
     assert [d.cid for d in follower.delivery.log] == [0, 1, 2]
+    # Cid 3 waits on its requests' verification, cid 5 on the gap at 4,
+    # when a state install carries the replica through cid 4.
+    covered, beyond = _decision(3, signed=True), _decision(5)
+    follower.handle_decision(covered)
+    follower.handle_decision(beyond)
+    _executed, snapshot = follower.delivery.capture_state()[0]
+    follower.state_transfer._install(4, (4, snapshot))
+    assert follower.last_decided == 4
+    assert set(follower.decision_buffer) == {5}
+    follower._mark_verified([r.key for r in covered.batch])
+    follower.handle_decision(_decision(6))
+    sim.run(until=1.5)
+    # The install replaced the log; what follows it runs on from cid 5.
+    assert [d.cid for d in follower.delivery.log] == [5, 6]
+    assert follower.delivery.executed_cid == 6
+
+
+def test_hand_off_waits_for_the_predecessors_verification():
+    """Decision N (requests not yet verified here) and N+1 (verified) land
+    in one instant: N+1 waits behind N, and both reach the delivery layer
+    in cid order once N's verification completes."""
+    sim, _, _, replicas, _ = make_cluster()
+    follower = replicas[2]
+    first, second = _decision(0, signed=True), _decision(1, signed=True)
+    follower.admitted.update(dict.fromkeys(
+        (r.key for r in second.batch), True))
+    follower.handle_decision(first)
+    follower.handle_decision(second)
+    assert follower.last_decided == 1
+    sim.run(until=0.5)
+    assert follower.delivery.log == []
+    follower._mark_verified([r.key for r in first.batch])
+    sim.run(until=1.0)
+    assert [d.cid for d in follower.delivery.log] == [0, 1]
 
 
 def test_double_propose_guard_keeps_requests_flowing():

@@ -509,3 +509,28 @@ def test_restore_from_a_disk_checkpoint_identical_to_pre_refactor_commit():
     checkpoints = [e.fields["block"] for e in events.of_kind("checkpoint")
                    if e.node == 0 and e.time < 1.5]
     assert checkpoints[-1] == 80
+
+
+# ----------------------------------------------------------------------
+# A recovered SMARTCHAIN replica rejoins the canonical chain
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("checkpoint_period", [20, 10_000])
+@pytest.mark.parametrize("engine", ["modsmart", "fastbft"])
+@pytest.mark.parametrize("variant,plan", [
+    (PersistenceVariant.STRONG, "bitrot-recovery"),
+    (PersistenceVariant.WEAK, "torn-write-recovery")])
+def test_recovered_replica_hands_off_in_cid_order(variant, plan, engine,
+                                                  checkpoint_period):
+    """The two fork reproducers: a replica recovers while the group keeps
+    ordering, so decisions reach it in the same instant as its state
+    install, some with requests it has yet to verify.  Each must reach its
+    delivery layer after its predecessor and only if the install did not
+    cover it, or the replica's next block forks (``no-fork``) and is built
+    out of order (``delivery-order``); ``run`` raises on either."""
+    result = run(Scenario(system="smartchain", variant=variant, faults=plan,
+                          engine=engine, checkpoint_period=checkpoint_period,
+                          clients=300, duration=3.0, seed=1, audit=True))
+    events = result.handle.obs.events
+    transfers = [e for e in events.of_kind("state-transfer")
+                 if e.fields["phase"] == "done"]
+    assert events.of_kind("recovering") and transfers
